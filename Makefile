@@ -19,14 +19,16 @@ bench:
 bench-output:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
 
-# Rewrite BENCH_bcp.json with the full three-way (legacy/object/arena)
-# BCP comparison.  Run on a quiet machine; the committed aggregate is
-# the baseline the CI smoke job guards against.
+# Rewrite BENCH_bcp.json with the full two-engine BCP comparison: the
+# solver's arena engine against the benchmark's in-file copy of the
+# seed engine (legacy).  Run on a quiet machine; the committed aggregate
+# is the baseline the CI smoke job guards against.
 bench-bcp:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_bcp_micro.py
 
-# Fast arena-path check against the committed baseline (the CI gate):
-# fails if the arena-vs-object speedup ratio regresses >10%.
+# Fast legacy/arena check against the committed baseline (the CI gate):
+# full-size workloads, fewer replay passes; fails if the arena-vs-legacy
+# speedup ratio regresses >10%.
 bench-bcp-smoke:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_bcp_micro.py --smoke --check-regression
 
@@ -52,8 +54,8 @@ serve-smoke:
 	$(PYTHON) scripts/serve_smoke.py
 
 # Incremental-session smoke: a seeded 200-step add/assume fuzz schedule
-# on both engine cores (warm answers bit-identical to fresh re-solves,
-# failed cores consistent) plus a 50-delta family through one
+# (warm answers bit-identical to fresh re-solves, failed cores
+# consistent) plus a 50-delta family through one
 # drift-gated selector session, with the forward-passes < instances
 # amortization claim read from session-select trace events.  Mirrors
 # the CI session-smoke job.

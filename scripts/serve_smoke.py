@@ -32,7 +32,7 @@ from repro.cnf import random_ksat, to_dimacs
 from repro.obs import read_trace, validate_traces
 from repro.policies import get_policy
 from repro.serve import ServeClient
-from repro.solver import Solver, SolverConfig
+from repro.solver import Solver
 
 BURST = 8
 BUDGET = 20_000
@@ -90,7 +90,6 @@ def main() -> None:
         direct = Solver(
             cnf,
             policy=get_policy(body["policy"]),
-            config=SolverConfig(core="arena"),
         ).solve(max_conflicts=BUDGET)
         if body["status"] != direct.status.value:
             fail(f"status mismatch: served {body['status']}, "

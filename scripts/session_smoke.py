@@ -1,16 +1,15 @@
 #!/usr/bin/env python
-"""Incremental-session smoke check: cross-core fuzz + amortized selection.
+"""Incremental-session smoke check: warm-vs-fresh fuzz + amortized selection.
 
 The CI ``session-smoke`` job (and ``make session-smoke``) runs this
 script.  It asserts the two load-bearing claims of the incremental
 session layer, with the evidence read back from a traced run rather
 than the components' own say-so:
 
-1. **Cross-core differential fuzz** — a seeded 200-step
+1. **Warm-vs-fresh differential fuzz** — a seeded 200-step
    add-clause/assumption schedule driven through a warm
-   :class:`SolverSession` on *both* engine cores produces, at every
-   solve step, identical statuses across cores, a status bit-identical
-   to a fresh re-solve of the accumulated formula, and
+   :class:`SolverSession` produces, at every solve step, a status
+   bit-identical to a fresh re-solve of the accumulated formula, and
    failed-assumption cores that are consistent (subset of the
    assumptions, still UNSAT alone).
 
@@ -35,13 +34,12 @@ from repro.cnf import CNF, random_ksat
 from repro.models import NeuroSelect
 from repro.obs import read_trace, start_run, validate_traces
 from repro.selection import SelectorSession
-from repro.solver import Solver, SolverConfig, Status
+from repro.solver import Solver, Status
 from repro.solver.session import SolverSession
 
 FUZZ_STEPS = 200
 FUZZ_SEED = 20260809
 FAMILY_DELTAS = 50
-CORES = ("object", "arena")
 
 
 def fail(message: str) -> None:
@@ -67,70 +65,48 @@ def fuzz_schedule(rng: random.Random, num_vars: int, steps: int):
     return schedule
 
 
-def fresh_status(cnf: CNF, assumptions, core: str) -> Status:
-    return (
-        Solver(cnf.copy(), config=SolverConfig(core=core))
-        .solve(assumptions=assumptions)
-        .status
-    )
+def fresh_status(cnf: CNF, assumptions) -> Status:
+    return Solver(cnf.copy()).solve(assumptions=assumptions).status
 
 
 def run_fuzz(observer) -> dict:
-    """Part 1: the seeded 200-step cross-core differential fuzz."""
+    """Part 1: the seeded 200-step warm-vs-fresh differential fuzz."""
     rng = random.Random(FUZZ_SEED)
     seed_cnf = random_ksat(12, 30, seed=FUZZ_SEED)
     schedule = fuzz_schedule(rng, seed_cnf.num_vars, FUZZ_STEPS)
-    sessions = {
-        core: SolverSession(
-            seed_cnf.copy(),
-            config=SolverConfig(core=core),
-            observer=observer,
-            session_id=f"smoke-{core}",
-        )
-        for core in CORES
-    }
+    session = SolverSession(
+        seed_cnf.copy(), observer=observer, session_id="smoke"
+    )
     accumulated = seed_cnf.copy()
     solves = adds = cores_seen = 0
     for index, (op, lits) in enumerate(schedule):
         if op == "add":
             accumulated.add_clause(lits)
-            for session in sessions.values():
-                session.add(*lits)
+            session.add(*lits)
             adds += 1
             continue
         solves += 1
-        results = {
-            core: session.solve(assumptions=lits)
-            for core, session in sessions.items()
-        }
-        left, right = results["object"].status, results["arena"].status
-        if left is not right:
-            fail(f"step {index}: cores disagree "
-                 f"(object={left.value}, arena={right.value}, "
-                 f"assumptions={lits})")
-        for core, result in results.items():
-            reference = fresh_status(accumulated, lits, core)
-            if result.status is not reference:
-                fail(f"step {index}: warm {core} session returned "
-                     f"{result.status.value}, fresh re-solve says "
-                     f"{reference.value} (assumptions={lits})")
-            if result.core is not None:
-                cores_seen += 1
-                if not set(result.core) <= set(lits):
-                    fail(f"step {index}: {core} failed core "
-                         f"{result.core} not a subset of "
-                         f"assumptions {lits}")
-                if fresh_status(
-                    accumulated, list(result.core), "arena"
-                ) is not Status.UNSATISFIABLE:
-                    fail(f"step {index}: {core} failed core "
-                         f"{result.core} does not keep the formula "
-                         f"UNSAT")
+        result = session.solve(assumptions=lits)
+        reference = fresh_status(accumulated, lits)
+        if result.status is not reference:
+            fail(f"step {index}: warm session returned "
+                 f"{result.status.value}, fresh re-solve says "
+                 f"{reference.value} (assumptions={lits})")
+        if result.core is not None:
+            cores_seen += 1
+            if not set(result.core) <= set(lits):
+                fail(f"step {index}: failed core {result.core} not a "
+                     f"subset of assumptions {lits}")
+            if fresh_status(
+                accumulated, list(result.core)
+            ) is not Status.UNSATISFIABLE:
+                fail(f"step {index}: failed core {result.core} does not "
+                     f"keep the formula UNSAT")
     if cores_seen == 0:
         fail("the fuzz schedule never produced a failed-assumption "
              "core — the schedule is not exercising analyzeFinal")
     print(f"fuzz: {solves} solves / {adds} adds over {FUZZ_STEPS} steps, "
-          f"both cores bit-identical to fresh re-solves "
+          f"bit-identical to fresh re-solves "
           f"({cores_seen} failed cores checked)")
     return {"solves": solves, "adds": adds, "failed_cores": cores_seen}
 

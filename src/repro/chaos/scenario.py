@@ -64,7 +64,7 @@ from repro.policies.registry import get_policy
 from repro.serve.http import bound_address, start_service
 from repro.serve.resilience import BreakerConfig
 from repro.serve.service import ServeConfig, SolveService
-from repro.solver.solver import Solver, SolverConfig
+from repro.solver.solver import Solver
 from repro.solver.types import Status
 
 #: Hard per-wave guard: a wave not terminal within this long IS a hang.
@@ -391,7 +391,6 @@ class _Harness:
             flush_window=0.25,
             max_queue_depth=max(64, 4 * scenario.wave_size),
             default_max_conflicts=scenario.budget,
-            solver_core="arena",
             workers=1,
             breaker=scenario.breaker,
             inference_timeout=scenario.inference_timeout,
@@ -796,7 +795,6 @@ class _Harness:
         direct = Solver(
             record.cnf,
             policy=get_policy(record.policy),
-            config=SolverConfig(core="arena"),
         ).solve(max_conflicts=self.scenario.budget)
         if direct.status is not status:
             return (

@@ -62,10 +62,8 @@ from repro.cnf import (
 )
 from repro.policies import get_policy, policy_names
 from repro.solver import (
-    SOLVER_CORES,
     ProofLog,
     Solver,
-    SolverConfig,
     SolverSession,
     Status,
 )
@@ -129,8 +127,6 @@ def _add_solve(subparsers) -> None:
                         "'f <lits> 0' line")
     p.add_argument("--preprocess", action="store_true",
                    help="run the simplification pipeline first")
-    p.add_argument("--solver-core", default="arena", choices=SOLVER_CORES,
-                   help="engine representation (default: arena)")
     _add_obs_args(p)
     p.set_defaults(func=cmd_solve)
 
@@ -196,7 +192,6 @@ def _solve_incremental(args) -> int:
     session = SolverSession(
         num_vars,
         policy=get_policy(args.policy),
-        config=SolverConfig(core=args.solver_core),
         observer=obs,
         session_id="cli",
     )
@@ -242,13 +237,11 @@ def cmd_solve(args) -> int:
         return _solve_incremental(args)
     cnf = parse_dimacs_file(args.file)
     obs = _observer_from_args(args, "solve", policy=args.policy)
-    config = SolverConfig(core=args.solver_core)
     if args.preprocess:
         from repro.simplify import solve_with_preprocessing
 
         result = solve_with_preprocessing(
             cnf,
-            config=config,
             max_conflicts=args.max_conflicts,
             max_propagations=args.max_propagations,
             observer=obs,
@@ -257,7 +250,6 @@ def cmd_solve(args) -> int:
         proof = ProofLog(args.proof) if args.proof else None
         solver = Solver(
             cnf, policy=get_policy(args.policy), proof=proof, observer=obs,
-            config=config,
         )
         result = solver.solve(
             assumptions=args.assume,
@@ -627,9 +619,6 @@ def _add_fuzz(subparsers) -> None:
                    help="wall-clock seconds per solve attempt (supervised)")
     p.add_argument("--cache-dir",
                    help="on-disk result cache for the solve fan-out")
-    p.add_argument("--solver-core", default="arena", choices=SOLVER_CORES,
-                   help="engine representation for subject solves "
-                        "(default: arena)")
     p.add_argument("--replay", nargs="+", metavar="MANIFEST",
                    help="replay corpus entries (.json manifests) through "
                         "the full oracle bank instead of running a campaign")
@@ -669,7 +658,6 @@ def cmd_fuzz(args) -> int:
         corpus_dir=args.corpus if args.shrink else None,
         task_timeout=args.task_timeout,
         cache_dir=args.cache_dir,
-        solver_core=args.solver_core,
     )
     report = run_campaign(config, observer=obs)
     print(render_report(report))
@@ -894,12 +882,13 @@ def _add_query(subparsers) -> None:
                        help="one workload (3sat, mixed, binary, long, "
                             "aggregate); default: all")
     trend.add_argument("--engine",
-                       help="one engine series (legacy, new, arena) — "
-                            "props_per_sec metric only")
+                       help="one engine series (legacy, arena; older "
+                            "results also carry new) — props_per_sec "
+                            "metric only")
     trend.add_argument("--metric", default="speedup",
                        choices=("speedup", "props_per_sec"),
-                       help="derived arena-vs-new ratio (default) or raw "
-                            "per-engine throughput")
+                       help="derived arena-vs-legacy ratio (default) or "
+                            "raw per-engine throughput")
     trend.add_argument("--window", type=int, default=5,
                        help="rolling-baseline depth in measurements")
     _add_query_common(trend)
@@ -980,8 +969,8 @@ def _add_trend(subparsers) -> None:
                         "none (older BENCH files predate the git stamp)")
     p.add_argument("--metric", default="speedup",
                    choices=("speedup", "props_per_sec"),
-                   help="series to trend: the host-independent arena-vs-new "
-                        "ratio (default) or raw throughput")
+                   help="series to trend: the host-independent "
+                        "arena-vs-legacy ratio (default) or raw throughput")
     p.add_argument("--workload", help="restrict the printed trend rows")
     p.add_argument("--engine",
                    help="restrict to one engine (props_per_sec metric only)")
@@ -1111,8 +1100,6 @@ def _add_serve(subparsers) -> None:
                    help="conflict budget for requests that name none")
     p.add_argument("--max-conflicts-cap", type=int, default=1_000_000,
                    help="hard ceiling every request budget is clamped to")
-    p.add_argument("--solver-core", default="arena", choices=SOLVER_CORES,
-                   help="engine representation (default: arena)")
     p.add_argument("--workers", type=int, default=1,
                    help="solver processes per solve group")
     p.add_argument("--task-timeout", type=float,
@@ -1190,7 +1177,6 @@ def cmd_serve(args) -> int:
         max_queue_depth=args.max_queue,
         default_max_conflicts=args.default_max_conflicts,
         max_conflicts_cap=args.max_conflicts_cap,
-        solver_core=args.solver_core,
         workers=args.workers,
         task_timeout=args.task_timeout,
         memory_limit_mb=args.memory_limit_mb,
@@ -1217,7 +1203,6 @@ def cmd_serve(args) -> int:
             max_batch=config.max_batch,
             flush_window=config.flush_window,
             max_queue_depth=config.max_queue_depth,
-            solver_core=config.solver_core,
             workers=config.workers,
             weights=bool(args.weights),
         )

@@ -3,8 +3,8 @@
 The correctness harness every solver/policy change is checked against:
 
 * :mod:`repro.fuzz.oracles` — a pluggable bank of cross-checks (brute
-  force, DPLL, both deletion policies, preprocessing on/off, DRAT
-  proofs, metamorphic transforms) that turn a solve result into either
+  force, DPLL, both deletion policies, warm-vs-fresh incremental
+  sessions, preprocessing on/off, DRAT proofs, metamorphic transforms) that turn a solve result into either
   silence or a structured :class:`Discrepancy`;
 * :mod:`repro.fuzz.campaign` — seeded, deterministic campaigns over
   the generator registry, fanned out through the fault-tolerant
@@ -21,6 +21,7 @@ from repro.fuzz.oracles import (
     Discrepancy,
     DPLLOracle,
     DratOracle,
+    IncrementalOracle,
     MetamorphicOracle,
     ModelCheckOracle,
     Oracle,
@@ -61,6 +62,7 @@ __all__ = [
     "DratOracle",
     "FailureCorpus",
     "FuzzCase",
+    "IncrementalOracle",
     "MetamorphicOracle",
     "ModelCheckOracle",
     "Oracle",

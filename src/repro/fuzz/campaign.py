@@ -39,12 +39,10 @@ from repro.fuzz.oracles import (
     default_oracles,
     derive_mutants,
     formula_key,
-    make_solve_fn,
 )
 from repro.fuzz.shrink import FailureCorpus, discrepancy_predicate, shrink
 from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.parallel.runner import ParallelRunner, SolveTask
-from repro.solver.solver import SOLVER_CORES, SolverConfig
 from repro.solver.types import Model, Status
 
 
@@ -74,9 +72,6 @@ class CampaignConfig:
     #: Oracle gating thresholds (see :class:`OracleContext`).
     brute_force_max_vars: int = 13
     dpll_max_vars: int = 30
-    #: Engine representation for every subject solve ("arena"/"object").
-    #: The core-agreement oracle always compares both cores regardless.
-    solver_core: str = "arena"
 
     def __post_init__(self) -> None:
         if self.seeds < 1:
@@ -86,8 +81,6 @@ class CampaignConfig:
         unknown = set(self.families) - set(GENERATOR_FAMILIES)
         if unknown:
             raise ValueError(f"unknown generator families: {sorted(unknown)}")
-        if self.solver_core not in SOLVER_CORES:
-            raise ValueError(f"unknown solver core {self.solver_core!r}")
 
 
 @dataclass
@@ -118,7 +111,6 @@ class CampaignReport:
     budget: int
     mutants: int
     families: List[str]
-    solver_core: str = "arena"
     cases: int = 0
     solves: int = 0
     statuses: Dict[str, int] = field(default_factory=dict)
@@ -140,7 +132,6 @@ class CampaignReport:
             "budget": self.budget,
             "mutants": self.mutants,
             "families": list(self.families),
-            "solver_core": self.solver_core,
             "cases": self.cases,
             "solves": self.solves,
             "statuses": dict(sorted(self.statuses.items())),
@@ -230,7 +221,6 @@ def _prefill_from_runner(
     treats the case as undecided rather than trusting a dead worker.
     """
     tasks: List[SolveTask] = []
-    solver_config = SolverConfig(core=config.solver_core)
     for case in cases:
         formulas = [("subject", case.cnf)] + list(case.mutants)
         for variant, cnf in formulas:
@@ -240,7 +230,6 @@ def _prefill_from_runner(
                     policy=policy,
                     max_conflicts=config.budget,
                     tag=f"{case.name}/{variant}/{policy}",
-                    config=solver_config,
                 ))
     runner = ParallelRunner(
         workers=config.workers,
@@ -273,17 +262,12 @@ def run_campaign(
     started = time.perf_counter()
     cases = build_cases(config)
     families = sorted(config.families) if config.families else sorted(GENERATOR_FAMILIES)
-    # Any oracle solve not covered by the runner prefill (preprocessed
-    # formulas, shrink replays) must use the same core as the fan-out,
-    # or a core-specific bug would hide behind a mixed-engine campaign.
-    solve_fn = solve_hook if solve_hook is not None else make_solve_fn(config.solver_core)
     report = CampaignReport(
         seeds=config.seeds,
         base_seed=config.base_seed,
         budget=config.budget,
         mutants=config.mutants,
         families=families,
-        solver_core=config.solver_core,
         cases=len(cases),
     )
     observer.event(
@@ -293,7 +277,6 @@ def run_campaign(
         budget=config.budget,
         workers=config.workers,
         families=families,
-        solver_core=config.solver_core,
     )
 
     prefill: Dict[Tuple[str, str], Tuple[Status, Optional[Model]]] = {}
@@ -311,7 +294,7 @@ def run_campaign(
         ctx = OracleContext(
             case=case.name,
             budget=config.budget,
-            solve_fn=solve_fn,
+            solve_fn=solve_hook,
             prefill=prefill,
             brute_force_max_vars=config.brute_force_max_vars,
             dpll_max_vars=config.dpll_max_vars,
@@ -339,7 +322,7 @@ def run_campaign(
             # bounded corpus stays reviewable.
             target = found[0]
             predicate = discrepancy_predicate(
-                bank, target, budget=config.budget, solve_fn=solve_fn
+                bank, target, budget=config.budget, solve_fn=solve_hook
             )
             result = shrink(case.cnf, predicate)
             entry = corpus.add(
@@ -378,8 +361,7 @@ def render_report(report: CampaignReport) -> str:
     """Human-readable campaign summary for the CLI."""
     lines = [
         f"fuzz campaign: {report.cases} cases, {report.solves} solves, "
-        f"budget {report.budget} conflicts, base seed {report.base_seed}, "
-        f"{report.solver_core} core",
+        f"budget {report.budget} conflicts, base seed {report.base_seed}",
         "statuses: " + ", ".join(
             f"{count} {name}" for name, count in sorted(report.statuses.items())
         ),

@@ -12,6 +12,9 @@ cross-checks:
 * :class:`PolicyAgreementOracle` — both clause-deletion policies must
   agree on the verdict (the label-poisoning guard: a policy that flips
   SAT/UNSAT corrupts every Sec. 5.1 training label downstream);
+* :class:`IncrementalOracle` — a warm incremental session must answer
+  every step of a derived add-clause/assumption schedule exactly like a
+  fresh solve, with sound failed-assumption cores;
 * :class:`PreprocessingOracle` — simplification must be
   equisatisfiable and its reconstructed models must check out;
 * :class:`DratOracle` — UNSAT answers must come with a checkable DRAT
@@ -47,7 +50,7 @@ from repro.solver.drat import DratError, check_drat
 from repro.solver.proof import ProofLog
 from repro.solver.reference import brute_force_status, dpll_solve
 from repro.solver.session import SolverSession
-from repro.solver.solver import Solver, SolverConfig
+from repro.solver.solver import Solver
 from repro.solver.types import Model, Status
 
 #: Default per-solve conflict budget (deterministic, unlike wall clock).
@@ -75,31 +78,6 @@ def default_solve_fn(
         max_conflicts=max_conflicts
     )
     return result.status, result.model
-
-
-def make_solve_fn(core: str) -> SolveFn:
-    """A :data:`SolveFn` pinned to one solver core (``object``/``arena``).
-
-    Campaigns use this to fuzz a specific core; the returned callable
-    has the exact subject-solver signature, so shrink predicates and
-    corpus replays reproduce the same configuration.
-    """
-
-    def solve_fn(
-        cnf: CNF,
-        policy: str = "default",
-        max_conflicts: int = DEFAULT_BUDGET,
-        proof: Optional[ProofLog] = None,
-    ) -> Tuple[Status, Optional[Model]]:
-        result = Solver(
-            cnf,
-            policy=get_policy(policy),
-            proof=proof,
-            config=SolverConfig(core=core),
-        ).solve(max_conflicts=max_conflicts)
-        return result.status, result.model
-
-    return solve_fn
 
 
 @dataclass(frozen=True)
@@ -170,25 +148,23 @@ class OracleContext:
             self.solves += 1
         return self._memo[key]
 
-    def solve_core(
-        self, cnf: CNF, core: str, assumptions: Sequence[int] = ()
+    def solve_fresh(
+        self, cnf: CNF, assumptions: Sequence[int] = ()
     ) -> Tuple[Status, Optional[Model]]:
-        """Memoized solve pinned to one solver core (default policy).
+        """Memoized fresh solve of the real engine (default policy).
 
-        Bypasses ``solve_fn`` deliberately: the core-agreement check
-        compares the two real engines against each other, independent of
-        whatever subject (possibly a fault-injected wrapper) the rest of
-        the bank is exercising.  Memo keys are namespaced (``core:``,
-        plus the assumption literals when given) so they never collide
-        with per-policy subject results.
+        Bypasses ``solve_fn`` deliberately: the incremental oracle
+        compares a warm session against a from-scratch solve, independent
+        of whatever subject (possibly a fault-injected wrapper) the rest
+        of the bank is exercising.  Memo keys are namespaced
+        (``fresh:``, plus the assumption literals when given) so they
+        never collide with per-policy subject results.
         """
         assumed = tuple(int(lit) for lit in assumptions)
-        tag = f"core:{core}"
-        if assumed:
-            tag += ":" + ",".join(map(str, assumed))
+        tag = "fresh:" + ",".join(map(str, assumed))
         key = (formula_key(cnf), tag)
         if key not in self._memo:
-            result = Solver(cnf, config=SolverConfig(core=core)).solve(
+            result = Solver(cnf).solve(
                 assumptions=assumed, max_conflicts=self.budget
             )
             self._memo[key] = (result.status, result.model)
@@ -319,28 +295,42 @@ def derive_schedule(
 
 
 class PolicyAgreementOracle(Oracle):
-    """Two solver configurations must return the same verdict.
+    """Both clause-deletion policies must return the same verdict.
 
-    ``mode="policies"`` (the default) solves under both clause-deletion
-    policies: deletion changes *effort*, never *truth*, and a
-    disagreement here is the exact soundness bug that silently poisons
-    the paper's dual-policy labels.  ``mode="cores"`` instead solves
-    with the object core and the arena core directly — the differential
-    check that pins the flat-arena BCP engine to the reference
-    object-graph engine.  Verdicts are only compared when both runs
-    decided within budget — configuration legitimately shifts how far a
-    budget reaches.
+    Deletion changes *effort*, never *truth*: a disagreement here is the
+    exact soundness bug that silently poisons the paper's dual-policy
+    labels.  Verdicts are only compared when both runs decided within
+    budget — the policy legitimately shifts how far a budget reaches.
+    """
 
-    In ``cores`` mode the one-shot comparison is followed by an
-    *incremental* one: a deterministic add-clause/assumption schedule
-    (:func:`derive_schedule`) is driven through a warm
-    :class:`~repro.solver.session.SolverSession` on each core, and at
-    every solve step the oracle demands
+    name = "policy-agreement"
 
-    * identical decided statuses across the two cores,
-    * an arena status bit-identical to a fresh re-solve of the
-      accumulated formula under the same assumptions (the warm state
-      must never change an answer), and
+    def check(self, cnf: CNF, ctx: OracleContext) -> List[Discrepancy]:
+        """Solve under both policies and compare decided verdicts."""
+        left, _ = ctx.solve(cnf, "default")
+        right, _ = ctx.solve(cnf, "frequency")
+        if left.decided and right.decided and left is not right:
+            return [self._mismatch(
+                ctx, "status-mismatch",
+                f"default={left.value}",
+                f"frequency={right.value}",
+                "deletion policies disagree on satisfiability",
+            )]
+        return []
+
+
+class IncrementalOracle(Oracle):
+    """A warm incremental session must answer like a fresh solve.
+
+    A deterministic add-clause/assumption schedule
+    (:func:`derive_schedule`) is driven through one warm
+    :class:`~repro.solver.session.SolverSession`, and at every solve
+    step the oracle demands
+
+    * a decided status identical to a fresh re-solve of the accumulated
+      formula under the same assumptions (the warm state — learned
+      clauses, phases, activities, the arena — must never change an
+      answer), and
     * a *consistent* failed-assumption core for every
       UNSAT-under-assumptions answer: the core is a subset of the
       assumptions, and the accumulated formula is still UNSAT under
@@ -348,114 +338,58 @@ class PolicyAgreementOracle(Oracle):
       guaranteed subset-minimal, so minimality is not asserted).
     """
 
-    MODES = ("policies", "cores")
+    name = "incremental"
 
-    #: Formulas with more variables than this skip the incremental
-    #: schedule (the one-shot comparison still runs) — schedules
+    #: Formulas with more variables than this are skipped — schedules
     #: re-solve several times per case and fuzz formulas are small.
     schedule_max_vars = 120
 
     #: Random steps per derived schedule (plus the fixed first/last solve).
     schedule_steps = 6
 
-    def __init__(self, mode: str = "policies"):
-        if mode not in self.MODES:
-            raise ValueError(f"mode must be one of {self.MODES}, got {mode!r}")
-        self.mode = mode
-        self.name = "policy-agreement" if mode == "policies" else "core-agreement"
-        #: Test hook: builds the per-core warm session the schedule
-        #: drives.  Replacing it with a factory that returns a corrupted
-        #: session proves the incremental checks actually detect bugs.
-        self.session_factory: Callable[[CNF, str], SolverSession] = (
-            lambda formula, core: SolverSession(
-                formula.copy(), config=SolverConfig(core=core)
-            )
+    def __init__(self) -> None:
+        #: Test hook: builds the warm session the schedule drives.
+        #: Replacing it with a factory that returns a corrupted session
+        #: proves the checks actually detect bugs.
+        self.session_factory: Callable[[CNF], SolverSession] = (
+            lambda formula: SolverSession(formula.copy())
         )
 
     def check(self, cnf: CNF, ctx: OracleContext) -> List[Discrepancy]:
-        """Solve both configurations and compare decided verdicts."""
-        if self.mode == "policies":
-            left_name, right_name = "default", "frequency"
-            left, _ = ctx.solve(cnf, "default")
-            right, _ = ctx.solve(cnf, "frequency")
-            detail = "deletion policies disagree on satisfiability"
-        else:
-            left_name, right_name = "object", "arena"
-            left, _ = ctx.solve_core(cnf, "object")
-            right, _ = ctx.solve_core(cnf, "arena")
-            detail = "solver cores disagree on satisfiability"
-        found: List[Discrepancy] = []
-        if left.decided and right.decided and left is not right:
-            found.append(self._mismatch(
-                ctx, "status-mismatch",
-                f"{left_name}={left.value}",
-                f"{right_name}={right.value}",
-                detail,
-            ))
-        if self.mode == "cores" and len(cnf.variables()) <= self.schedule_max_vars:
-            found.extend(self._check_schedule(cnf, ctx))
-        return found
-
-    # -- the incremental cross-core battery --------------------------------
-
-    def _check_schedule(
-        self, cnf: CNF, ctx: OracleContext
-    ) -> List[Discrepancy]:
-        """Drive one derived schedule through both cores and cross-check."""
+        """Drive one derived schedule through a warm session."""
+        if len(cnf.variables()) > self.schedule_max_vars:
+            return []
         schedule = derive_schedule(cnf, steps=self.schedule_steps)
         if not schedule:
             return []
-        sessions = {
-            core: self.session_factory(cnf, core)
-            for core in ("object", "arena")
-        }
+        session = self.session_factory(cnf)
         accumulated = cnf.copy()
         found: List[Discrepancy] = []
         for index, (op, lits) in enumerate(schedule):
             if op == "add":
                 accumulated.add_clause(lits)
-                for session in sessions.values():
-                    session.add(*lits)
+                session.add(*lits)
                 continue
-            results = {
-                core: session.solve(
-                    assumptions=lits, max_conflicts=ctx.budget
-                )
-                for core, session in sessions.items()
-            }
+            result = session.solve(assumptions=lits, max_conflicts=ctx.budget)
             where = f"schedule step {index} (assumptions {lits})"
-            left, right = results["object"].status, results["arena"].status
-            if left.decided and right.decided and left is not right:
-                found.append(self._mismatch(
-                    ctx, "status-mismatch",
-                    f"object={left.value}", f"arena={right.value}",
-                    f"incremental cores disagree at {where}",
-                ))
-            fresh, _ = ctx.solve_core(accumulated, "arena", assumptions=lits)
-            incremental = results["arena"].status
-            if (
-                fresh.decided
-                and incremental.decided
-                and fresh is not incremental
-            ):
+            fresh, _ = ctx.solve_fresh(accumulated, assumptions=lits)
+            warm = result.status
+            if fresh.decided and warm.decided and fresh is not warm:
                 found.append(self._mismatch(
                     ctx, "status-mismatch",
                     f"fresh={fresh.value}",
-                    f"incremental={incremental.value}",
-                    f"warm arena session diverged from a fresh re-solve "
-                    f"at {where}",
+                    f"incremental={warm.value}",
+                    f"warm session diverged from a fresh re-solve at {where}",
                 ))
-            for core, result in results.items():
-                found.extend(self._check_core_soundness(
-                    ctx, accumulated, core, lits, result, where
-                ))
+            found.extend(self._check_core_soundness(
+                ctx, accumulated, lits, result, where
+            ))
         return found
 
     def _check_core_soundness(
         self,
         ctx: OracleContext,
         accumulated: CNF,
-        core: str,
         assumptions: List[int],
         result,
         where: str,
@@ -464,28 +398,24 @@ class PolicyAgreementOracle(Oracle):
         make the formula UNSAT (consistency; minimality not guaranteed)."""
         if result.status is not Status.UNSATISFIABLE or result.core is None:
             return []
-        found: List[Discrepancy] = []
         if not set(result.core) <= set(assumptions):
-            found.append(self._mismatch(
+            return [self._mismatch(
                 ctx, "core-not-assumptions",
                 f"subset of {assumptions}",
-                f"{core} core {result.core}",
+                f"core {result.core}",
                 f"failed-assumption core contains non-assumption "
                 f"literals at {where}",
-            ))
-            return found
-        status, _ = ctx.solve_core(
-            accumulated, "arena", assumptions=result.core
-        )
+            )]
+        status, _ = ctx.solve_fresh(accumulated, assumptions=result.core)
         if status is Status.SATISFIABLE:
-            found.append(self._mismatch(
+            return [self._mismatch(
                 ctx, "core-insufficient",
                 "UNSAT under the failed-assumption core",
                 "SATISFIABLE",
-                f"{core} core {result.core} does not preserve "
+                f"core {result.core} does not preserve "
                 f"unsatisfiability at {where}",
-            ))
-        return found
+            )]
+        return []
 
 
 class PreprocessingOracle(Oracle):
@@ -619,7 +549,7 @@ def default_oracles(mutants: int = 2, mutation_seed: int = 0) -> List[Oracle]:
         BruteForceOracle(),
         DPLLOracle(),
         PolicyAgreementOracle(),
-        PolicyAgreementOracle(mode="cores"),
+        IncrementalOracle(),
         MetamorphicOracle(mutants=mutants, seed=mutation_seed),
         PreprocessingOracle(),
         DratOracle(),

@@ -11,7 +11,7 @@ from __future__ import annotations
 import abc
 from typing import Sequence
 
-from repro.solver.clause_db import SolverClause
+from repro.solver.arena import ArenaClauseView
 
 
 class DeletionPolicy(abc.ABC):
@@ -23,7 +23,7 @@ class DeletionPolicy(abc.ABC):
     @abc.abstractmethod
     def score(
         self,
-        clause: SolverClause,
+        clause: ArenaClauseView,
         frequency: Sequence[int],
         max_frequency: int,
     ) -> int:

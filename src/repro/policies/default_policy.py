@@ -13,7 +13,7 @@ from typing import Sequence
 
 from repro.policies.base import DeletionPolicy
 from repro.policies.score import DEFAULT_LAYOUT, negated
-from repro.solver.clause_db import SolverClause
+from repro.solver.arena import ArenaClauseView
 
 
 class DefaultPolicy(DeletionPolicy):
@@ -23,7 +23,7 @@ class DefaultPolicy(DeletionPolicy):
 
     def score(
         self,
-        clause: SolverClause,
+        clause: ArenaClauseView,
         frequency: Sequence[int],
         max_frequency: int,
     ) -> int:

@@ -17,14 +17,14 @@ from typing import Sequence
 
 from repro.policies.base import DeletionPolicy
 from repro.policies.score import FREQUENCY_LAYOUT, ScoreLayout, clamp, negated
-from repro.solver.clause_db import SolverClause
+from repro.solver.arena import ArenaClauseView
 
 #: Paper's empirically chosen threshold fraction (Sec. 3.2).
 DEFAULT_ALPHA = 4.0 / 5.0
 
 
 def clause_frequency(
-    clause: SolverClause,
+    clause: ArenaClauseView,
     frequency: Sequence[int],
     max_frequency: int,
     alpha: float = DEFAULT_ALPHA,
@@ -53,7 +53,7 @@ class FrequencyPolicy(DeletionPolicy):
 
     def score(
         self,
-        clause: SolverClause,
+        clause: ArenaClauseView,
         frequency: Sequence[int],
         max_frequency: int,
     ) -> int:

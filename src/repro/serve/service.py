@@ -67,7 +67,6 @@ from repro.serve.resilience import (
     clamp_conflicts_to_deadline,
 )
 from repro.serve.sessions import SessionManager
-from repro.solver.solver import SolverConfig
 from repro.solver.types import Status
 
 
@@ -85,7 +84,6 @@ class ServeConfig:
     default_max_conflicts: int = 100_000  # budget when the request names none
     max_conflicts_cap: int = 1_000_000    # hard per-request budget ceiling
     # -- solve execution --------------------------------------------------
-    solver_core: str = "arena"
     workers: int = 1               # processes per solve group
     task_timeout: Optional[float] = None   # per-request wall budget, seconds
     memory_limit_mb: Optional[float] = None
@@ -149,10 +147,8 @@ class SolveService:
             journal=cfg.journal,
             observer=observer,
         )
-        self.solver_config = SolverConfig(core=cfg.solver_core)
         self.sessions = SessionManager(
             model,
-            solver_config=self.solver_config,
             session_ttl=cfg.session_ttl,
             max_sessions=cfg.max_sessions,
             drift_threshold=cfg.session_drift_threshold,
@@ -524,7 +520,6 @@ class SolveService:
         return SolveTask(
             cnf=request.cnf,
             policy=request.policy,
-            config=self.solver_config,
             max_conflicts=max_conflicts,
             tag=request.id,
             wall_budget_seconds=wall_budget,

@@ -48,7 +48,6 @@ from repro.policies.registry import get_policy
 from repro.selection.session import SelectorSession
 from repro.serve.protocol import AdmissionError
 from repro.solver.session import SolverSession
-from repro.solver.solver import SolverConfig
 from repro.solver.types import Status
 
 
@@ -96,7 +95,6 @@ class ServeSession:
             "num_clauses": self.solver.cnf.num_clauses,
             "solves": self.solves,
             "policy": self.solver.policy_name,
-            "core": self.solver.core,
             "ttl": self.ttl,
             "idle_seconds": round(self.idle_seconds, 3),
             "last_status": last.value if last is not None else None,
@@ -110,7 +108,6 @@ class SessionManager:
     def __init__(
         self,
         model,
-        solver_config: Optional[SolverConfig] = None,
         session_ttl: float = 300.0,
         max_sessions: int = 64,
         drift_threshold: float = 0.1,
@@ -125,7 +122,6 @@ class SessionManager:
         if max_sessions < 1:
             raise ValueError("max_sessions must be >= 1")
         self.model = model
-        self.solver_config = solver_config or SolverConfig()
         self.session_ttl = session_ttl
         self.max_sessions = max_sessions
         self.drift_threshold = drift_threshold
@@ -183,7 +179,6 @@ class SessionManager:
         )
         solver = SolverSession(
             cnf,
-            config=self.solver_config,
             observer=self.observer,
             session_id=session_id,
         )
@@ -202,7 +197,6 @@ class SessionManager:
             num_vars=solver.num_vars,
             num_clauses=solver.cnf.num_clauses,
             ttl=session.ttl,
-            core=solver.core,
             drift_threshold=drift,
         )
         return session

@@ -11,11 +11,6 @@ DRAT proof logging.
 
 from repro.solver.types import Status, Model, encode, decode, negate, variable_of
 from repro.solver.statistics import SolverStatistics
-from repro.solver.clause_db import ClauseDatabase, SolverClause
-from repro.solver.assignment import Trail
-from repro.solver.watchers import WatchLists
-from repro.solver.propagate import Propagator
-from repro.solver.analyze import ConflictAnalyzer
 from repro.solver.arena import (
     ArenaClauseView,
     ArenaConflictAnalyzer,
@@ -27,9 +22,9 @@ from repro.solver.arena import (
 from repro.solver.decide import Decider
 from repro.solver.vmtf import VMTFDecider
 from repro.solver.restart import LubyRestarts, EMARestarts, luby
-from repro.solver.reduce import ArenaReduceScheduler, ReduceScheduler
+from repro.solver.reduce import ReduceScheduler
 from repro.solver.proof import ProofLog
-from repro.solver.solver import SOLVER_CORES, Solver, SolverConfig, SolveResult, solve
+from repro.solver.solver import Solver, SolverConfig, SolveResult, solve
 from repro.solver.session import SolverSession, replay_schedule
 from repro.solver.reference import brute_force_status, dpll_solve
 from repro.solver.drat import check_drat, trim_proof, DratError
@@ -43,19 +38,12 @@ __all__ = [
     "negate",
     "variable_of",
     "SolverStatistics",
-    "ClauseDatabase",
-    "SolverClause",
-    "Trail",
-    "WatchLists",
-    "Propagator",
-    "ConflictAnalyzer",
     "ClauseArena",
     "ArenaClauseView",
     "ArenaTrail",
     "ArenaWatchLists",
     "ArenaPropagator",
     "ArenaConflictAnalyzer",
-    "ArenaReduceScheduler",
     "Decider",
     "VMTFDecider",
     "LubyRestarts",
@@ -64,7 +52,6 @@ __all__ = [
     "ReduceScheduler",
     "ProofLog",
     "Solver",
-    "SOLVER_CORES",
     "SolverConfig",
     "SolverSession",
     "SolveResult",

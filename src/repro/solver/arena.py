@@ -1,9 +1,7 @@
 """Flat int32 arena clause store and the contiguous-memory BCP core.
 
-The object core (:mod:`repro.solver.clause_db`) stores every clause as a
-``SolverClause`` with a Python list of literals; BCP chases two pointers
-per watcher visit (record -> clause -> lits).  This module replaces the
-representation wholesale:
+This is the solver's only engine representation, shaped after Kissat's
+arena clause store:
 
 * **Arena** — all clauses live back to back in one growable flat buffer
   of ints as ``[id, size, lit0 .. litN]`` blocks.  A clause is addressed
@@ -25,9 +23,9 @@ representation wholesale:
   only clauses of length >= 4 pay for offset-based two-watched-literal
   records with blocking literals.
 
-Observable behavior (statistics, learned clauses' role, deletion-policy
-inputs, obs events, DRAT proofs) matches the object core; the
-differential-fuzz bank's core-agreement oracle checks exactly that.
+Soundness is checked by engine-independent oracles (model check, brute
+force, DPLL, DRAT, metamorphic transforms, warm-vs-fresh incremental
+re-solves; see :mod:`repro.fuzz.oracles`).
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.obs.metrics import BATCH_BUCKETS, MetricsRegistry
-from repro.solver.assignment import Trail
 from repro.solver.statistics import SolverStatistics
 from repro.solver.types import FALSE, TRUE, UNASSIGNED
 
@@ -49,7 +46,7 @@ Conflict = Union[int, Tuple[int, int]]
 
 
 class ArenaClauseView:
-    """Read/write proxy presenting one arena clause like a SolverClause.
+    """Read/write proxy presenting one arena clause as an object.
 
     Deletion policies and tests access ``lits``, ``glue``, ``activity``,
     ``used``, ``learned``, ``garbage`` and ``frequency`` attributes; the
@@ -106,12 +103,10 @@ class ArenaClauseView:
 
 
 class ClauseArena:
-    """Flat clause arena plus id-indexed metadata (ClauseDatabase drop-in).
+    """Flat clause arena plus id-indexed metadata.
 
-    Presents the same lifecycle API as
-    :class:`~repro.solver.clause_db.ClauseDatabase` (construction,
-    activity, deletion, inspection) but trafficks in integer clause ids
-    instead of clause objects.
+    Lifecycle API (construction, activity, deletion, inspection) over
+    integer clause ids; :meth:`view` wraps an id for policy scoring.
     """
 
     def __init__(self, keep_glue: int = 2):
@@ -177,8 +172,7 @@ class ClauseArena:
     def bump_clause(self, cid: int) -> None:
         """Increase a learned clause's activity; rescale all on overflow.
 
-        Invariant (shared with the object core): only *learned* clauses
-        are ever bumped — conflict analysis checks ``learned`` before
+        Invariant: only *learned* clauses are ever bumped — conflict analysis checks ``learned`` before
         calling — so rescaling only the learned activities is exhaustive.
         """
         if not self.learned[cid]:
@@ -204,8 +198,7 @@ class ClauseArena:
     def reducible_clauses(self) -> List[int]:
         """Ids of learned clauses that are candidates for deletion.
 
-        Binary clauses are excluded (as in the object core and Kissat):
-        they are watcher-only in the arena and are never deleted.
+        Binary clauses are excluded (as in Kissat): they are watcher-only in the arena and are never deleted.
         """
         keep_glue = self.keep_glue
         glue = self.glue
@@ -272,7 +265,7 @@ class ClauseArena:
         ]
 
     def live_clauses(self) -> List[ArenaClauseView]:
-        """Views of all live clauses (audit / inspection parity helper)."""
+        """Views of all live clauses (audit / inspection helper)."""
         return [self.view(cid) for cid in self.live_ids()]
 
     @property
@@ -304,45 +297,66 @@ class ClauseArena:
         return out.astype(np.int32)
 
 
-class ArenaTrail(Trail):
-    """Trail whose reasons are clause ids, not clause objects.
+class ArenaTrail:
+    """Assignment trail: values, decision levels, reasons, backtracking.
 
-    ``reasons[var]`` is ``None`` for decisions, a clause id (>= 0) for
-    implications from ternary/long clauses, and ``~other_lit`` (< 0) for
-    implications from binary clauses: binary watchers carry no id, so
-    the reason is reconstructed from the implication itself — the
-    implied variable's true literal plus ``other_lit``, the binary
-    clause's other (false) literal.
+    The trail is the chronological record of all current assignments
+    (``num_vars`` variables, 1-based).  Each variable stores the
+    decision level it was assigned at and the *reason* that implied it:
+    ``None`` for decisions, a clause id (>= 0) for implications from
+    ternary/long clauses, and ``~other_lit`` (< 0) for implications from
+    binary clauses.  Binary watchers carry no id, so the reason is
+    reconstructed from the implication itself — the implied variable's
+    true literal plus ``other_lit``, the binary clause's other (false)
+    literal.
 
-    Two further representation changes relative to :class:`Trail`, both
-    in service of the BCP hot path:
+    Two representation choices serve the BCP hot path:
 
-    * there is **no per-variable ``values`` array** — ``lit_values``
-      is the single source of truth (``lit_values[var << 1]`` is
-      exactly the old ``values[var]``), sparing one list store per
-      propagated assignment;
+    * ``lit_values`` (per literal: TRUE/FALSE/UNASSIGNED) is the single
+      source of truth — ``lit_values[var << 1]`` is the variable's
+      value — sparing the propagator the ``>> 1`` / ``& 1`` / xor dance
+      on every watcher visit and one list store per assignment;
     * :meth:`backtrack` resets only ``lit_values``.  ``levels`` and
-      ``reasons`` go stale for unassigned variables (``levels`` always
-      did), which is safe because every reader — conflict analysis,
-      :meth:`reason_literals`, :meth:`is_reason`, reduction — checks
-      assignment first.
+      ``reasons`` go stale for unassigned variables, which is safe
+      because every reader — conflict analysis, :meth:`reason_literals`,
+      :meth:`is_reason`, reduction — checks assignment first.
     """
 
     def __init__(self, num_vars: int, arena: ClauseArena):
-        super().__init__(num_vars)
+        self.num_vars = num_vars
         self.arena = arena
-        # Fail loudly if anything still reads the per-variable array.
-        self.values = None
+        n = num_vars + 1
+        self.lit_values: List[int] = [UNASSIGNED] * (2 * n)
+        self.levels: List[int] = [0] * n
+        self.reasons: List[Optional[int]] = [None] * n
+        self.trail: List[int] = []  # internal literals, assignment order
+        self.trail_lim: List[int] = []  # trail index where each level starts
+        self.qhead: int = 0  # propagation queue head into trail
 
-    # -- queries (lit_values is the single source of truth) ------------------
+    # -- queries ---------------------------------------------------------------
+
+    @property
+    def decision_level(self) -> int:
+        return len(self.trail_lim)
 
     def value_var(self, var: int) -> int:
         return self.lit_values[var << 1]
 
+    def value_lit(self, lit: int) -> int:
+        """TRUE / FALSE / UNASSIGNED for an internal literal."""
+        return self.lit_values[lit]
+
     def is_assigned(self, var: int) -> bool:
         return self.lit_values[var << 1] != UNASSIGNED
 
+    def num_assigned(self) -> int:
+        return len(self.trail)
+
+    def all_assigned(self) -> bool:
+        return len(self.trail) == self.num_vars
+
     def model(self) -> List[Optional[bool]]:
+        """Current assignment as an optional-bool list indexed by variable."""
         out: List[Optional[bool]] = [None] * (self.num_vars + 1)
         lit_values = self.lit_values
         for var in range(1, self.num_vars + 1):
@@ -353,9 +367,12 @@ class ArenaTrail(Trail):
                 out[var] = False
         return out
 
-    # -- mutation -------------------------------------------------------------
+    # -- mutation --------------------------------------------------------------
 
-    def assign(self, lit: int, reason) -> None:
+    def new_decision_level(self) -> None:
+        self.trail_lim.append(len(self.trail))
+
+    def assign(self, lit: int, reason: Optional[int]) -> None:
         """Record ``lit`` as true at the current decision level."""
         assert self.lit_values[lit] == UNASSIGNED, f"literal {lit} already set"
         var = lit >> 1
@@ -407,7 +424,7 @@ class ArenaTrail(Trail):
 
 
 class ArenaWatchLists:
-    """Per-literal watcher tables over the arena (WatchLists drop-in).
+    """Per-literal watcher tables over the arena.
 
     Three tables, all flat int lists (no per-record allocation):
 
@@ -532,11 +549,10 @@ class ArenaWatchLists:
 
 
 class ArenaPropagator:
-    """Unit propagation over the flat arena (Propagator drop-in).
+    """Unit propagation over the flat arena, with the paper's Eq. (2)
+    per-variable propagation-frequency counters.
 
-    Same frequency-tracking API as the object-core
-    :class:`~repro.solver.propagate.Propagator`; the differences are all
-    hot-path representation:
+    Hot-path representation:
 
     * binary implications write ``~false_lit`` as the reason (no clause
       dereference, no record tuple at all);
@@ -548,8 +564,8 @@ class ArenaPropagator:
       rare, so :meth:`max_frequency` computes it on demand instead of
       taxing every propagation with a compare.
 
-    Contract (as for the object core): no garbage clauses in any watch
-    table when ``propagate`` runs.
+    Contract: no garbage clauses in any watch table when ``propagate``
+    runs.
     """
 
     def __init__(
@@ -690,9 +706,9 @@ class ArenaPropagator:
 
             # -- long clauses (>= 4 lits): [blocker, offset] pairs.
             #
-            # Two-phase scan as in the object core: phase 1 is
-            # write-free until the first relocation leaves a two-slot
-            # hole; phase 2 compacts the rest down over it.
+            # Two-phase scan: phase 1 is write-free until the first
+            # relocation leaves a two-slot hole; phase 2 compacts the
+            # rest down over it.
             if not has_long:
                 continue
             watchers = watches[false_lit]
@@ -846,10 +862,9 @@ class ArenaPropagator:
 class ArenaConflictAnalyzer:
     """1-UIP conflict analysis over clause-id reasons.
 
-    Mirrors :class:`~repro.solver.analyze.ConflictAnalyzer` exactly in
-    scheme (first-UIP, recursive-lite minimization, glue, backjump) but
-    reads literals straight from the arena and resolves the three reason
-    encodings (``None`` / id / ``~other_lit``).  The implied literal is
+    First-UIP learning with recursive-lite minimization, glue (LBD) and
+    backjump-level computation.  Reads literals straight from the arena
+    and resolves the three reason encodings (``None`` / id / ``~other_lit``).  The implied literal is
     skipped by variable comparison instead of relying on slot-0
     normalization — ternary clauses are never normalized in the arena.
     """

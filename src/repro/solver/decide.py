@@ -15,7 +15,7 @@ from __future__ import annotations
 import heapq
 from typing import List, Optional
 
-from repro.solver.assignment import Trail
+from repro.solver.arena import ArenaTrail
 
 
 class Decider:
@@ -23,7 +23,7 @@ class Decider:
 
     def __init__(
         self,
-        trail: Trail,
+        trail: ArenaTrail,
         decay: float = 0.95,
         initial_phase: bool = True,
     ):

@@ -6,7 +6,7 @@ get rarer as the database matures.  At each round:
 
 1. clauses that currently act as reasons on the trail are protected;
 2. "non-reducible" learned clauses (glue <= keep_glue) and binaries are
-   protected (handled by :meth:`ClauseDatabase.reducible_clauses`);
+   protected (handled by :meth:`ClauseArena.reducible_clauses`);
 3. recently *used* clauses (bumped in conflict analysis since the last
    round) get one round of grace and their flag is cleared;
 4. the remaining candidates are scored by the active
@@ -14,6 +14,15 @@ get rarer as the database matures.  At each round:
    ``target_fraction`` are deleted;
 5. per-variable propagation-frequency counters reset (Sec. 3.1: "since
    the last deletion").
+
+Policies score :class:`~repro.solver.arena.ArenaClauseView` proxies, so
+policy-written state (e.g. the Eq. (2) frequency cache) lands in the
+arena's metadata arrays.  Deletion garbage-collects the arena: watchers
+detach, the arena compacts, and long-watcher offsets are relocated with
+the compaction map.  The literals of deleted clauses are captured (in
+clause-id order) in :attr:`ReduceScheduler.last_deleted` *before*
+compaction invalidates their offsets, so the solver can mirror
+deletions into a DRAT proof.
 """
 
 from __future__ import annotations
@@ -22,11 +31,13 @@ from typing import List, Optional
 
 from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.policies.base import DeletionPolicy
-from repro.solver.assignment import Trail
-from repro.solver.clause_db import ClauseDatabase, SolverClause
-from repro.solver.propagate import Propagator
+from repro.solver.arena import (
+    ArenaPropagator,
+    ArenaTrail,
+    ArenaWatchLists,
+    ClauseArena,
+)
 from repro.solver.statistics import SolverStatistics
-from repro.solver.watchers import WatchLists
 
 
 class ReduceScheduler:
@@ -34,10 +45,10 @@ class ReduceScheduler:
 
     def __init__(
         self,
-        clause_db: ClauseDatabase,
-        trail: Trail,
-        watches: WatchLists,
-        propagator: Propagator,
+        clause_db: ClauseArena,
+        trail: ArenaTrail,
+        watches: ArenaWatchLists,
+        propagator: ArenaPropagator,
         stats: SolverStatistics,
         policy: DeletionPolicy,
         interval: int = 300,
@@ -61,6 +72,8 @@ class ReduceScheduler:
         self.observer = observer if observer is not None else NULL_OBSERVER
         self._limit = interval
         self._rounds = 0
+        #: Literal lists of the clauses deleted by the last round.
+        self.last_deleted: List[List[int]] = []
 
     def should_reduce(self) -> bool:
         return self.stats.conflicts >= self._limit
@@ -80,69 +93,6 @@ class ReduceScheduler:
 
     def _reduce(self) -> "tuple[int, int]":
         """The reduction round proper: (clauses deleted, candidates seen)."""
-        self._rounds += 1
-        self._limit = self.stats.conflicts + self.interval + (
-            self.interval_growth * self._rounds
-        )
-        self.stats.reductions += 1
-
-        frequency = self.propagator.frequency
-        # O(1): the propagator tracks the running max with every bump.
-        max_frequency = self.propagator.max_frequency()
-        self.policy.begin_round(frequency, max_frequency)
-
-        candidates: List[SolverClause] = []
-        for clause in self.clause_db.reducible_clauses():
-            if self.trail.is_reason(clause):
-                continue
-            if self.protect_used and clause.used:
-                clause.used = False  # one round of grace, then fair game
-                continue
-            candidates.append(clause)
-
-        deleted = 0
-        if candidates:
-            candidates.sort(
-                key=lambda c: self.policy.score(c, frequency, max_frequency)
-            )
-            num_delete = int(len(candidates) * self.target_fraction)
-            for clause in candidates[:num_delete]:
-                self.clause_db.mark_garbage(clause)
-                deleted += 1
-            if deleted:
-                # Single-pass sweep over the binary and long watch tables.
-                self.watches.detach_garbage()
-                self.clause_db.sweep()
-
-        self.stats.deleted_clauses += deleted
-        # Eq. (2) counts propagations "since the last clause deletion".
-        self.propagator.reset_frequencies()
-        return deleted, len(candidates)
-
-
-class ArenaReduceScheduler(ReduceScheduler):
-    """Reduction over the flat arena core (clause ids, not objects).
-
-    Same schedule, protections, policy scoring, and statistics as
-    :class:`ReduceScheduler`; the deletion mechanics differ:
-
-    * policies score :class:`~repro.solver.arena.ArenaClauseView`
-      proxies, so policy-written state (e.g. the Eq. (2) frequency
-      cache) lands in the arena's metadata arrays;
-    * instead of a lazy sweep, deletion garbage-collects the arena:
-      watchers detach, the arena compacts, and long-watcher offsets are
-      relocated with the compaction map;
-    * the literals of deleted clauses are captured (in clause-id order)
-      in :attr:`last_deleted` *before* compaction invalidates their
-      offsets, so the solver can mirror deletions into a DRAT proof.
-    """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        #: Literal lists of the clauses deleted by the last round.
-        self.last_deleted: List[List[int]] = []
-
-    def _reduce(self) -> "tuple[int, int]":
         self._rounds += 1
         self._limit = self.stats.conflicts + self.interval + (
             self.interval_growth * self._rounds
@@ -178,8 +128,7 @@ class ArenaReduceScheduler(ReduceScheduler):
                 arena.mark_garbage(cid)
                 deleted += 1
             if deleted:
-                # Literals must be read out before compaction moves them;
-                # id order matches the object core's insertion order.
+                # Literals must be read out before compaction moves them.
                 self.last_deleted = [
                     arena.literals(cid) for cid in sorted(doomed)
                 ]

@@ -4,8 +4,8 @@
 :class:`~repro.solver.solver.Solver`: one long-lived solver instance
 answers a *sequence* of closely related queries, keeping everything a
 fresh solver would have to rebuild — learned clauses, VSIDS/VMTF
-activity and saved phases, restart state, and (on the arena core) the
-flat clause arena itself — alive between calls.  The interface follows
+activity and saved phases, restart state, and the flat clause arena
+itself — alive between calls.  The interface follows
 IPASIR's shape:
 
 ``add(*literals)``
@@ -25,10 +25,9 @@ IPASIR's shape:
     UNSAT-under-assumptions answer (MiniSat's ``analyzeFinal``), as
     DIMACS literals; ``failed(lit)`` tests membership.
 
-Both engine cores (``SolverConfig(core="arena"|"object")``) sit behind
-the same facade; the differential battery in ``tests/test_sessions.py``
-pins them to fresh-solver re-solves on random clause/assumption
-schedules.
+The differential battery in ``tests/test_sessions.py`` and the fuzz
+bank's incremental oracle pin warm answers to fresh-solver re-solves on
+random clause/assumption schedules.
 
 Variables are declared up front (``SolverSession(num_vars=...)`` or via
 the seed formula): the watcher tables and trail are sized once, which
@@ -50,7 +49,7 @@ from repro.solver.types import Status
 
 
 class SolverSession:
-    """One warm incremental solving session over a single solver core."""
+    """One warm incremental solving session over a single solver."""
 
     def __init__(
         self,
@@ -94,10 +93,6 @@ class SolverSession:
     def cnf(self) -> CNF:
         """The accumulated formula (the solver's own copy once grown)."""
         return self.solver.cnf
-
-    @property
-    def core(self) -> str:
-        return self.solver.config.core
 
     @property
     def last_status(self) -> Optional[Status]:
@@ -171,7 +166,6 @@ class SolverSession:
                 "session-solve",
                 session=self.id,
                 call=self.solves,
-                core=self.core,
                 status=result.status.name,
                 assumptions=len(assumed),
                 failed=len(self._failed),
@@ -224,9 +218,9 @@ def replay_schedule(
     """Run a recorded schedule of ``("add", lits)`` / ``("solve", lits)``
     steps against a session; returns the results of the solve steps.
 
-    The differential battery and the cross-core fuzz oracle both speak
-    this schedule format, so a failing schedule can be replayed
-    verbatim against either core.
+    The differential battery and the fuzz bank's incremental oracle both
+    speak this schedule format, so a failing schedule can be replayed
+    verbatim.
     """
     results: List[SolveResult] = []
     for step in steps:

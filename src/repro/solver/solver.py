@@ -28,7 +28,6 @@ from repro.obs.metrics import SMALL_COUNT_BUCKETS
 from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.policies.base import DeletionPolicy
 from repro.policies.default_policy import DefaultPolicy
-from repro.solver.analyze import ConflictAnalyzer
 from repro.solver.arena import (
     ArenaConflictAnalyzer,
     ArenaPropagator,
@@ -36,20 +35,13 @@ from repro.solver.arena import (
     ArenaWatchLists,
     ClauseArena,
 )
-from repro.solver.assignment import Trail
-from repro.solver.clause_db import ClauseDatabase
 from repro.solver.decide import Decider
 from repro.solver.vmtf import VMTFDecider
 from repro.solver.proof import ProofLog
-from repro.solver.propagate import Propagator
-from repro.solver.reduce import ArenaReduceScheduler, ReduceScheduler
+from repro.solver.reduce import ReduceScheduler
 from repro.solver.restart import EMARestarts, LubyRestarts, SwitchingRestarts
 from repro.solver.statistics import SolverStatistics
 from repro.solver.types import FALSE, TRUE, UNASSIGNED, Model, Status, encode
-from repro.solver.watchers import WatchLists
-
-#: The selectable engine representations (see :attr:`SolverConfig.core`).
-SOLVER_CORES = ("arena", "object")
 
 
 @dataclass
@@ -70,10 +62,6 @@ class SolverConfig:
     # Rephasing: every `rephase_interval` conflicts, reset saved phases,
     # cycling best -> inverted -> best -> original (0 disables).
     rephase_interval: int = 0
-    # Engine representation: "arena" (flat int32 clause arena, the
-    # default) or "object" (SolverClause graph — the reference
-    # implementation, kept as a bisection escape hatch).
-    core: str = "arena"
 
     def __post_init__(self) -> None:
         if self.restart_mode not in ("luby", "ema", "switching", "none"):
@@ -82,8 +70,6 @@ class SolverConfig:
             raise ValueError(
                 f"unknown decision heuristic {self.decision_heuristic!r}"
             )
-        if self.core not in SOLVER_CORES:
-            raise ValueError(f"unknown solver core {self.core!r}")
 
 
 @dataclass
@@ -152,28 +138,14 @@ class Solver:
 
         num_vars = cnf.num_vars
         self.stats = SolverStatistics()
-        # Engine core: both representations expose the same component
-        # protocol (add_original/add_learned/attach return and accept
-        # clause references — objects for one core, ids for the other),
-        # so everything below this block is representation-agnostic.
-        self._arena_core = self.config.core == "arena"
         metrics = registry if registry.enabled else None
-        if self._arena_core:
-            self.clause_db = ClauseArena(keep_glue=self.config.keep_glue)
-            self.clause_db.clause_decay = self.config.clause_decay
-            self.trail = ArenaTrail(num_vars, self.clause_db)
-            self.watches = ArenaWatchLists(num_vars, self.clause_db)
-            self.propagator = ArenaPropagator(
-                self.trail, self.watches, self.stats, metrics=metrics
-            )
-        else:
-            self.trail = Trail(num_vars)
-            self.watches = WatchLists(num_vars)
-            self.clause_db = ClauseDatabase(keep_glue=self.config.keep_glue)
-            self.clause_db.clause_decay = self.config.clause_decay
-            self.propagator = Propagator(
-                self.trail, self.watches, self.stats, metrics=metrics
-            )
+        self.clause_db = ClauseArena(keep_glue=self.config.keep_glue)
+        self.clause_db.clause_decay = self.config.clause_decay
+        self.trail = ArenaTrail(num_vars, self.clause_db)
+        self.watches = ArenaWatchLists(num_vars, self.clause_db)
+        self.propagator = ArenaPropagator(
+            self.trail, self.watches, self.stats, metrics=metrics
+        )
         if self.config.decision_heuristic == "vmtf":
             self.decider = VMTFDecider(
                 self.trail, initial_phase=self.config.initial_phase
@@ -184,16 +156,10 @@ class Solver:
                 decay=self.config.var_decay,
                 initial_phase=self.config.initial_phase,
             )
-        analyzer_cls = (
-            ArenaConflictAnalyzer if self._arena_core else ConflictAnalyzer
-        )
-        self.analyzer = analyzer_cls(
+        self.analyzer = ArenaConflictAnalyzer(
             self.trail, self.clause_db, self.stats, self.decider.bump
         )
-        reducer_cls = (
-            ArenaReduceScheduler if self._arena_core else ReduceScheduler
-        )
-        self.reducer = reducer_cls(
+        self.reducer = ReduceScheduler(
             self.clause_db,
             self.trail,
             self.watches,
@@ -444,7 +410,7 @@ class Solver:
                 return self._result(Status.UNKNOWN)
 
             if self.reducer.should_reduce():
-                self._delete_with_proof(self.reducer.reduce)
+                self._reduce()
 
             if self.restarts.should_restart() and self.trail.decision_level > 0:
                 self.stats.restarts += 1
@@ -538,25 +504,14 @@ class Solver:
                 return lit
         return None
 
-    def _delete_with_proof(self, reduce_fn) -> None:
+    def _reduce(self) -> None:
         """Run a reduction, mirroring deletions into the DRAT log."""
-        if self.proof is None:
-            reduce_fn()
-            return
-        if self._arena_core:
+        self.reducer.reduce()
+        if self.proof is not None:
             # Compaction invalidates deleted clauses' offsets, so the
-            # reducer snapshots their literals (in clause-id order, the
-            # same order the object diff below produces).
-            reduce_fn()
+            # reducer snapshots their literals (in clause-id order).
             for lits in self.reducer.last_deleted:
                 self.proof.delete_clause(lits)
-            return
-        live_before = {id(c): c for c in self.clause_db.live_learned()}
-        reduce_fn()
-        live_after = {id(c) for c in self.clause_db.live_learned()}
-        for cid, clause in live_before.items():
-            if cid not in live_after:
-                self.proof.delete_clause(clause.lits)
 
     def _budget_exhausted(
         self,

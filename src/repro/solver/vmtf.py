@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.solver.assignment import Trail
+from repro.solver.arena import ArenaTrail
 
 
 class VMTFDecider:
@@ -20,7 +20,7 @@ class VMTFDecider:
 
     def __init__(
         self,
-        trail: Trail,
+        trail: ArenaTrail,
         initial_phase: bool = True,
     ):
         self.trail = trail

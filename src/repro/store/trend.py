@@ -5,7 +5,7 @@ Feeds on the ``bench_results`` series the store builds from
 and answers two questions:
 
 * **trend** — for every (workload, engine) series, and for the derived
-  host-independent ``arena_vs_new`` speedup ratio, what is each
+  host-independent ``arena_vs_legacy`` speedup ratio, what is each
   measurement's delta against a *rolling baseline* (the mean of the
   previous ``window`` measurements)?
 * **gate** — did the newest measurement regress more than ``threshold``
@@ -13,8 +13,9 @@ and answers two questions:
   the answer into a process exit code CI can consume.
 
 The gate defaults to the ``speedup`` metric on the ``aggregate``
-pseudo-workload: the arena/object throughput ratio is measured within
-one process, so absolute machine speed cancels out — the same
+pseudo-workload: the arena/legacy throughput ratio (the solver's engine
+over the benchmark's fixed in-file copy of the seed engine) is measured
+within one process, so absolute machine speed cancels out — the same
 reasoning as the existing ``bench_bcp_micro.py --check-regression``
 gate, now generalized to any depth of history.  ``--per-workload``
 widens the gate to every workload series (noisier on busy CI hosts;
@@ -35,9 +36,9 @@ DEFAULT_THRESHOLD = 0.10
 #: Default rolling-baseline depth (measurements, not commits).
 DEFAULT_WINDOW = 5
 
-#: The derived ratio series: arena props/sec over object-core props/sec
-#: from the same benchmark run, per workload.
-SPEEDUP_METRIC = "speedup_arena_vs_new"
+#: The derived ratio series: arena props/sec over seed-engine (legacy)
+#: props/sec from the same benchmark run, per workload.
+SPEEDUP_METRIC = "speedup_arena_vs_legacy"
 
 
 @dataclass
@@ -64,7 +65,7 @@ def _series(rows: List[Dict[str, Any]]) -> Dict[Tuple[str, str], List[Dict[str, 
 def _speedup_series(
     rows: List[Dict[str, Any]]
 ) -> Dict[Tuple[str, str], List[Dict[str, Any]]]:
-    """Derive per-workload arena/new ratio series, one point per run."""
+    """Derive per-workload arena/legacy ratio series, one point per run."""
     by_run: Dict[Any, Dict[Tuple[str, str], Dict[str, Any]]] = {}
     run_order: List[Any] = []
     for row in rows:
@@ -79,13 +80,13 @@ def _speedup_series(
         workloads = {workload for workload, _ in cells}
         for workload in sorted(workloads):
             arena = cells.get((workload, "arena"))
-            new = cells.get((workload, "new"))
-            if arena is None or new is None or not new["props_per_sec"]:
+            legacy = cells.get((workload, "legacy"))
+            if arena is None or legacy is None or not legacy["props_per_sec"]:
                 continue
             point = dict(arena)
             point["engine"] = SPEEDUP_METRIC
             point["props_per_sec"] = (
-                arena["props_per_sec"] / new["props_per_sec"]
+                arena["props_per_sec"] / legacy["props_per_sec"]
             )
             series.setdefault((workload, SPEEDUP_METRIC), []).append(point)
     return series
@@ -100,7 +101,7 @@ def bench_trend(
 ) -> List[Dict[str, Any]]:
     """Trend rows: each measurement with its rolling-baseline delta.
 
-    ``metric`` is ``"speedup"`` (the derived arena-vs-object ratio) or
+    ``metric`` is ``"speedup"`` (the derived arena-vs-legacy ratio) or
     ``"props_per_sec"`` (raw per-engine throughput).  Rows are ordered
     series-by-series, oldest measurement first, and carry ``baseline``
     (rolling mean of up to ``window`` prior points, ``None`` for the

@@ -38,8 +38,7 @@ MODULES = PACKAGES + [
     "repro.cnf.encodings",
     "repro.solver.types",
     "repro.solver.solver",
-    "repro.solver.propagate",
-    "repro.solver.analyze",
+    "repro.solver.arena",
     "repro.solver.decide",
     "repro.solver.vmtf",
     "repro.solver.restart",

@@ -1,28 +1,25 @@
 """Arena-specific behavior: growth, compaction, metadata, and stress.
 
-The flat int32 arena replaces the object-graph clause store, so these
-tests target exactly the hazards that representation introduces and the
-object core never had: buffer growth mid-solve, offset relocation under
-compaction while watchers and reason references are live, id-indexed
-metadata surviving relocation, and int32 discipline at scale.  The
-audit helpers from :mod:`tests.test_solver_internals_audit` do the
-structural walking; this file drives the arena into the states worth
-auditing.
+These tests target exactly the hazards the flat int32 clause arena
+introduces: buffer growth mid-solve, offset relocation under compaction
+while watchers and reason references are live, id-indexed metadata
+surviving relocation, and int32 discipline at scale.  The audit helpers
+from :mod:`tests.test_solver_internals_audit` do the structural
+walking; this file drives the arena into the states worth auditing.
 """
 
 import random
 
 import pytest
 
-from repro.cli import main
-from repro.cnf import CNF, random_ksat, write_dimacs_file
+from repro.cnf import CNF, random_ksat
 from repro.fuzz import CampaignConfig, run_campaign
 from repro.policies import FrequencyPolicy
-from repro.solver import Solver, SolverConfig, Status
+from repro.selection.labeling import default_labeling_config
+from repro.solver import Solver, Status
 from repro.solver.arena import HEADER_WORDS, ArenaWatchLists, ClauseArena
-from repro.solver.clause_db import ClauseDatabase
 from repro.solver.reference import dpll_solve
-from tests.test_solver_internals_audit import audit_arena, core_config
+from tests.test_solver_internals_audit import audit_arena
 
 
 def planted_3sat(num_vars: int, num_clauses: int, seed: int) -> CNF:
@@ -42,7 +39,7 @@ def planted_3sat(num_vars: int, num_clauses: int, seed: int) -> CNF:
 
 
 # ---------------------------------------------------------------------------
-# bump_clause: learned-only activity invariant (both cores)
+# bump_clause: learned-only activity invariant
 # ---------------------------------------------------------------------------
 
 
@@ -52,14 +49,6 @@ def test_arena_bump_rejects_original_clause():
     with pytest.raises(ValueError, match="original"):
         arena.bump_clause(cid)
     assert arena.activity[cid] == 0.0
-
-
-def test_object_bump_rejects_original_clause():
-    db = ClauseDatabase()
-    clause = db.add_original([0, 2])
-    with pytest.raises(ValueError, match="original"):
-        db.bump_clause(clause)
-    assert clause.activity == 0.0
 
 
 def test_arena_bump_overflow_rescales_learned_only():
@@ -80,22 +69,6 @@ def test_arena_bump_overflow_rescales_learned_only():
     assert arena.used[high] == 1
 
 
-def test_object_bump_overflow_rescales_learned_only():
-    db = ClauseDatabase()
-    original = db.add_original([0, 2, 4])
-    low = db.add_learned([1, 3], glue=2)
-    high = db.add_learned([5, 7], glue=2)
-    low.activity = 1.0
-    high.activity = 9e19
-    db.clause_inc = 2e19
-    db.bump_clause(high)
-    assert high.activity == pytest.approx(1.1e20 * 1e-20)
-    assert low.activity == pytest.approx(1e-20)
-    assert db.clause_inc == pytest.approx(2e19 * 1e-20)
-    assert original.activity == 0.0
-    assert high.used
-
-
 # ---------------------------------------------------------------------------
 # growth and compaction
 # ---------------------------------------------------------------------------
@@ -103,7 +76,7 @@ def test_object_bump_overflow_rescales_learned_only():
 
 def test_arena_grows_mid_solve():
     cnf = random_ksat(150, 645, seed=2)
-    solver = Solver(cnf, config=SolverConfig(core="arena"))
+    solver = Solver(cnf)
     initial_words = solver.clause_db.arena_words()
     initial_ids = len(solver.clause_db.offset)
     result = solver.solve(max_conflicts=1500)
@@ -155,7 +128,7 @@ def test_compaction_relocates_watchers_and_preserves_literals():
 
 def test_compaction_during_solve_keeps_reasons_valid():
     cnf = random_ksat(150, 645, seed=2)
-    solver = Solver(cnf, policy=FrequencyPolicy(), config=core_config("arena"))
+    solver = Solver(cnf, policy=FrequencyPolicy(), config=default_labeling_config())
     result = solver.solve(max_conflicts=4000)
     assert result.stats.reductions > 0  # compaction actually happened
     audit_arena(solver)  # includes reason-reference and watcher walks
@@ -184,7 +157,7 @@ def test_frequency_survives_compaction():
 
 def test_frequency_metadata_tracks_solve_with_reductions():
     cnf = random_ksat(150, 645, seed=2)
-    solver = Solver(cnf, policy=FrequencyPolicy(), config=core_config("arena"))
+    solver = Solver(cnf, policy=FrequencyPolicy(), config=default_labeling_config())
     result = solver.solve(max_conflicts=4000)
     assert result.stats.reductions > 0
     # The frequency policy refreshed per-clause counters at least once
@@ -206,7 +179,7 @@ def test_100k_clause_stress_vs_dpll(make):
         cnf = planted_3sat(26, 100_000, seed=7)
     else:
         cnf = random_ksat(26, 100_000, seed=42)
-    solver = Solver(cnf, config=SolverConfig(core="arena"))
+    solver = Solver(cnf)
     result = solver.solve()
     truth, _ = dpll_solve(cnf)
     assert result.status is truth
@@ -217,38 +190,12 @@ def test_100k_clause_stress_vs_dpll(make):
 
 
 # ---------------------------------------------------------------------------
-# fuzz smoke on the arena core
+# fuzz smoke
 # ---------------------------------------------------------------------------
 
 
 def test_fuzz_smoke_200_seeds_on_arena():
-    config = CampaignConfig(
-        seeds=200, base_seed=11, budget=500, mutants=1, solver_core="arena"
-    )
+    config = CampaignConfig(seeds=200, base_seed=11, budget=500, mutants=1)
     report = run_campaign(config)
     assert report.clean, [d.summary() for d in report.discrepancies]
-    assert report.solver_core == "arena"
-    assert report.checks["core-agreement"] == 200
-
-
-# ---------------------------------------------------------------------------
-# CLI escape hatch
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("core", ["object", "arena"])
-def test_cli_solver_core(core, tmp_path, capsys):
-    path = tmp_path / "f.cnf"
-    write_dimacs_file(CNF([[1, 2], [-2, 3], [-1, -3]]), path)
-    assert main(["solve", str(path), "--solver-core", core]) == 10
-    assert "s SATISFIABLE" in capsys.readouterr().out
-
-
-def test_cli_fuzz_solver_core(capsys):
-    code = main([
-        "fuzz", "--seeds", "3", "--budget", "300", "--solver-core", "object",
-    ])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "object core" in out
-    assert "core-agreement=3" in out
+    assert report.checks["incremental"] == 200

@@ -35,7 +35,7 @@ from repro.parallel import ParallelRunner, SolveTask
 from repro.parallel.supervisor import Fault
 from repro.chaos.faults import attach_worker_faults
 from repro.cnf import random_ksat
-from repro.solver import SolverConfig, Status
+from repro.solver import Status
 
 
 # ---------------------------------------------------------------------------
@@ -89,8 +89,7 @@ def test_attach_worker_faults_translates_tags_to_indices():
     attach_worker_faults(runner, schedule)
     tasks = [
         SolveTask(cnf=random_ksat(8, 24, seed=i), policy="default",
-                  config=SolverConfig(core="arena"), max_conflicts=500,
-                  tag=tag)
+                  max_conflicts=500, tag=tag)
         for i, tag in enumerate(["bystander", "victim"])
     ]
     outcomes = runner.run(tasks)

@@ -13,7 +13,7 @@ from repro.selection import (
     YearStatistics,
 )
 from repro.simplify import Preprocessor, PreprocessResult, PreprocessStats
-from repro.solver import ConflictAnalyzer, Solver, Status, WalkSAT, WalkSATResult
+from repro.solver import Solver, Status, WalkSAT, WalkSATResult
 from repro.models import READOUTS, DirectedMessagePass
 
 
@@ -46,12 +46,10 @@ def test_walksat_result_type():
 
 
 def test_conflict_analyzer_is_solver_component():
-    from repro.solver import ArenaConflictAnalyzer, SolverConfig
+    from repro.solver import ArenaConflictAnalyzer
 
     solver = Solver(CNF([[1, 2], [-1, 2]]))
     assert isinstance(solver.analyzer, ArenaConflictAnalyzer)
-    solver = Solver(CNF([[1, 2], [-1, 2]]), config=SolverConfig(core="object"))
-    assert isinstance(solver.analyzer, ConflictAnalyzer)
 
 
 def test_year_split_constants():

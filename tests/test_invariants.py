@@ -9,7 +9,13 @@ from repro.graph import BipartiteGraph
 from repro.nn import Tensor
 from repro.policies import DefaultPolicy, FrequencyPolicy
 from repro.solver import Solver, Status
-from repro.solver.clause_db import SolverClause
+from repro.solver.arena import ClauseArena
+
+
+def arena_clause(lits, glue):
+    """A learned clause as policies see it: an arena view."""
+    arena = ClauseArena()
+    return arena.view(arena.add_learned(list(lits), glue))
 
 
 class TestSolverAccountingInvariants:
@@ -92,8 +98,8 @@ class TestPolicyScoreInvariants:
         self, glue_a, glue_b, size_a, size_b
     ):
         policy = DefaultPolicy()
-        a = SolverClause(list(range(2, 2 + 2 * size_a, 2)), learned=True, glue=glue_a)
-        b = SolverClause(list(range(2, 2 + 2 * size_b, 2)), learned=True, glue=glue_b)
+        a = arena_clause(range(2, 2 + 2 * size_a, 2), glue=glue_a)
+        b = arena_clause(range(2, 2 + 2 * size_b, 2), glue=glue_b)
         score_a = policy.score(a, [], 0)
         score_b = policy.score(b, [], 0)
         # Lexicographic on (glue asc, size asc): lower is better = higher score.
@@ -112,8 +118,8 @@ class TestPolicyScoreInvariants:
         frequency = [0] * 40
         for v in hot_vars:
             frequency[v] = 100
-        hot = SolverClause([2 * v for v in hot_vars[:3]] + [60, 62], learned=True, glue=5)
-        cold = SolverClause([50, 52, 54, 56, 58], learned=True, glue=4)
+        hot = arena_clause([2 * v for v in hot_vars[:3]] + [60, 62], glue=5)
+        cold = arena_clause([50, 52, 54, 56, 58], glue=4)
         assert policy.score(cold, frequency, 100) > policy.score(hot, frequency, 100)
 
 

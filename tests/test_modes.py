@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cnf import CNF, pigeonhole, random_ksat
 from repro.solver import Solver, SolverConfig, Status, brute_force_status
-from repro.solver.assignment import Trail
+from repro.solver.arena import ArenaTrail, ClauseArena
 from repro.solver.decide import Decider
 from repro.solver.restart import SwitchingRestarts
 from repro.solver.types import encode
@@ -49,7 +49,7 @@ class TestSwitchingRestarts:
 
 class TestRephasing:
     def make_decider(self, num_vars=4):
-        return Decider(Trail(num_vars), initial_phase=True)
+        return Decider(ArenaTrail(num_vars, ClauseArena()), initial_phase=True)
 
     def test_original_and_inverted(self):
         decider = self.make_decider()

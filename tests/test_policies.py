@@ -15,11 +15,17 @@ from repro.policies import (
 )
 from repro.policies.registry import LABEL_TO_POLICY, policy_for_label
 from repro.policies.score import FREQUENCY_FIRST_LAYOUT, ScoreLayout, clamp
-from repro.solver.clause_db import SolverClause
+from repro.solver.arena import ClauseArena
+
+
+def arena_clause(lits, glue=0):
+    """A learned clause as policies see it: an arena view."""
+    arena = ClauseArena()
+    return arena.view(arena.add_learned(list(lits), glue))
 
 
 def make_clause(num_lits, glue):
-    return SolverClause([2 * (i + 1) for i in range(num_lits)], learned=True, glue=glue)
+    return arena_clause([2 * (i + 1) for i in range(num_lits)], glue=glue)
 
 
 class TestScorePacking:
@@ -95,21 +101,21 @@ class TestDefaultPolicy:
 
 class TestClauseFrequency:
     def test_counts_hot_variables(self):
-        clause = SolverClause([2, 4, 6])  # vars 1, 2, 3
+        clause = arena_clause([2, 4, 6])  # vars 1, 2, 3
         freq = [0, 100, 90, 10]
         assert clause_frequency(clause, freq, 100, alpha=0.8) == 2
 
     def test_zero_max_frequency(self):
-        clause = SolverClause([2, 4])
+        clause = arena_clause([2, 4])
         assert clause_frequency(clause, [0, 0, 0], 0) == 0
 
     def test_strict_inequality_at_threshold(self):
-        clause = SolverClause([2])
+        clause = arena_clause([2])
         # f_v == alpha * f_max exactly -> not counted (Eq. 2 is strict).
         assert clause_frequency(clause, [0, 80], 100, alpha=0.8) == 0
 
     def test_alpha_extremes(self):
-        clause = SolverClause([2, 4])
+        clause = arena_clause([2, 4])
         freq = [0, 1, 100]
         assert clause_frequency(clause, freq, 100, alpha=0.0) == 2
         assert clause_frequency(clause, freq, 100, alpha=1.0) == 0
@@ -127,8 +133,8 @@ class TestFrequencyPolicy:
 
     def test_frequency_breaks_full_ties(self):
         policy = FrequencyPolicy()
-        hot = SolverClause([2, 4, 6], learned=True, glue=4)
-        cold = SolverClause([8, 10, 12], learned=True, glue=4)
+        hot = arena_clause([2, 4, 6], glue=4)
+        cold = arena_clause([8, 10, 12], glue=4)
         freq = [0, 100, 100, 100, 1, 1, 1]
         assert policy.score(hot, freq, 100) > policy.score(cold, freq, 100)
 
@@ -145,8 +151,8 @@ class TestFrequencyPolicy:
 
     def test_alternative_layout_reorders(self):
         first = FrequencyPolicy(layout=FREQUENCY_FIRST_LAYOUT)
-        hot_bad_glue = SolverClause([2, 4, 6], learned=True, glue=9)
-        cold_good_glue = SolverClause([8, 10, 12], learned=True, glue=3)
+        hot_bad_glue = arena_clause([2, 4, 6], glue=9)
+        cold_good_glue = arena_clause([8, 10, 12], glue=3)
         freq = [0, 100, 100, 100, 0, 0, 0]
         # With frequency as the most significant field the hot clause wins.
         assert first.score(hot_bad_glue, freq, 100) > first.score(

@@ -44,7 +44,7 @@ from repro.serve import (
     http_code_for,
 )
 from repro.serve.http import bound_address, start_service
-from repro.solver import Solver, SolverConfig, Status
+from repro.solver import Solver, Status
 
 
 def _model() -> NeuroSelect:
@@ -211,7 +211,6 @@ def test_burst_amortizes_and_matches_direct_solve():
         direct = Solver(
             cnf,
             policy=get_policy(request.policy),
-            config=SolverConfig(core="arena"),
         ).solve(max_conflicts=budget)
         assert request.outcome.status is direct.status
         assert request.outcome.propagations == direct.stats.propagations
@@ -427,7 +426,6 @@ def test_http_solve_roundtrip_matches_direct_solve():
     direct = Solver(
         cnf,
         policy=get_policy(body["policy"]),
-        config=SolverConfig(core="arena"),
     ).solve(max_conflicts=5_000)
     assert body["status"] == direct.status.value
     assert reply.code == http_code_for(direct.status)

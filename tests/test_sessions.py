@@ -5,9 +5,7 @@ The claims under test, each pinned here:
 * **Warm = fresh** — a :class:`SolverSession` driven through any random
   add-clause/assumption schedule returns, at every solve step, a status
   bit-identical to a *fresh* solver on the accumulated formula under the
-  same assumptions — on both engine cores (hypothesis property);
-* **Cores agree** — the object core and the arena core return identical
-  statuses at every step of the same schedule;
+  same assumptions (hypothesis property);
 * **Failed-assumption cores are consistent** — every
   UNSAT-under-assumptions answer carries a core that is a subset of the
   assumptions and still renders the formula UNSAT on its own;
@@ -20,8 +18,8 @@ The claims under test, each pinned here:
 * **Serve sessions** — the manager enforces TTL eviction and the
   session-capacity 429, and the HTTP surface round-trips a sticky
   session end to end;
-* **The cross-core fuzz oracle** — clean on sound solvers, and the
-  incremental checks actually fire when a buggy session is injected.
+* **The incremental fuzz oracle** — clean on sound solvers, and its
+  checks actually fire when a buggy session is injected.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cnf import CNF, random_ksat, to_dimacs
 from repro.fuzz import OracleContext
-from repro.fuzz.oracles import PolicyAgreementOracle, derive_schedule
+from repro.fuzz.oracles import IncrementalOracle, derive_schedule
 from repro.models import NeuroSelect
 from repro.selection import (
     DEFAULT_DRIFT_THRESHOLD,
@@ -44,10 +42,8 @@ from repro.selection import (
 from repro.serve import AdmissionError, ServeConfig, SolveService
 from repro.serve.http import bound_address, start_service
 from repro.serve.sessions import SessionManager
-from repro.solver import Solver, SolverConfig, Status
+from repro.solver import Solver, Status
 from repro.solver.session import SolverSession, replay_schedule
-
-CORES = ("object", "arena")
 
 
 # ---------------------------------------------------------------------------
@@ -81,13 +77,9 @@ def schedules(draw, max_vars: int = 6, max_steps: int = 8):
     return CNF(seed_clauses, num_vars=num_vars), steps
 
 
-def _fresh_status(cnf: CNF, assumptions, core: str) -> Status:
+def _fresh_status(cnf: CNF, assumptions) -> Status:
     """Fresh-solver status on the accumulated formula (the reference)."""
-    return (
-        Solver(cnf.copy(), config=SolverConfig(core=core))
-        .solve(assumptions=assumptions)
-        .status
-    )
+    return Solver(cnf.copy()).solve(assumptions=assumptions).status
 
 
 # ---------------------------------------------------------------------------
@@ -96,31 +88,21 @@ def _fresh_status(cnf: CNF, assumptions, core: str) -> Status:
 
 @settings(max_examples=60, deadline=None)
 @given(schedules())
-def test_warm_session_matches_fresh_resolve_on_both_cores(case):
-    """At every solve step, warm status == fresh status, on each core —
-    and the two cores agree with each other."""
+def test_warm_session_matches_fresh_resolve(case):
+    """At every solve step, warm status == fresh status."""
     seed, steps = case
-    sessions = {
-        core: SolverSession(seed.copy(), config=SolverConfig(core=core))
-        for core in CORES
-    }
+    session = SolverSession(seed.copy())
     accumulated = seed.copy()
     for op, lits in steps:
         if op == "add":
             accumulated.add_clause(lits)
-            for session in sessions.values():
-                session.add(*lits)
+            session.add(*lits)
             continue
-        statuses = {
-            core: session.solve(assumptions=lits).status
-            for core, session in sessions.items()
-        }
-        assert statuses["object"] is statuses["arena"]
-        for core in CORES:
-            assert statuses[core] is _fresh_status(accumulated, lits, core), (
-                f"{core} warm session diverged from fresh re-solve "
-                f"under assumptions {lits}"
-            )
+        status = session.solve(assumptions=lits).status
+        assert status is _fresh_status(accumulated, lits), (
+            f"warm session diverged from fresh re-solve "
+            f"under assumptions {lits}"
+        )
 
 
 @settings(max_examples=60, deadline=None)
@@ -129,26 +111,25 @@ def test_failed_cores_are_consistent(case):
     """Every failed-assumption core is a subset of the assumptions and
     keeps the formula UNSAT on its own."""
     seed, steps = case
-    for core in CORES:
-        session = SolverSession(seed.copy(), config=SolverConfig(core=core))
-        accumulated = seed.copy()
-        for op, lits in steps:
-            if op == "add":
-                accumulated.add_clause(lits)
-                session.add(*lits)
-                continue
-            result = session.solve(assumptions=lits)
-            if result.core is None:
-                continue
-            assert result.status is Status.UNSATISFIABLE
-            assert set(result.core) <= set(lits)
-            assert session.failed() == list(result.core)
-            again = Solver(accumulated.copy()).solve(
-                assumptions=list(result.core)
-            )
-            assert again.status is Status.UNSATISFIABLE, (
-                f"{core} core {result.core} insufficient"
-            )
+    session = SolverSession(seed.copy())
+    accumulated = seed.copy()
+    for op, lits in steps:
+        if op == "add":
+            accumulated.add_clause(lits)
+            session.add(*lits)
+            continue
+        result = session.solve(assumptions=lits)
+        if result.core is None:
+            continue
+        assert result.status is Status.UNSATISFIABLE
+        assert set(result.core) <= set(lits)
+        assert session.failed() == list(result.core)
+        again = Solver(accumulated.copy()).solve(
+            assumptions=list(result.core)
+        )
+        assert again.status is Status.UNSATISFIABLE, (
+            f"core {result.core} insufficient"
+        )
 
 
 @settings(max_examples=40, deadline=None)
@@ -156,7 +137,7 @@ def test_failed_cores_are_consistent(case):
 def test_replay_schedule_reproduces_statuses(case):
     """`replay_schedule` (the oracle's driver) equals the manual loop."""
     seed, steps = case
-    manual = SolverSession(seed.copy(), config=SolverConfig(core="arena"))
+    manual = SolverSession(seed.copy())
     manual_statuses = []
     for op, lits in steps:
         if op == "add":
@@ -164,7 +145,7 @@ def test_replay_schedule_reproduces_statuses(case):
         else:
             manual_statuses.append(manual.solve(assumptions=lits).status)
     replayed = replay_schedule(
-        SolverSession(seed.copy(), config=SolverConfig(core="arena")), steps
+        SolverSession(seed.copy()), steps
     )
     assert [r.status for r in replayed] == manual_statuses
 
@@ -174,21 +155,15 @@ def test_replay_schedule_reproduces_statuses(case):
 
 
 class TestSessionSemantics:
-    @pytest.mark.parametrize("core", CORES)
-    def test_assumptions_do_not_persist(self, core):
-        session = SolverSession(
-            CNF([[1, 2]], num_vars=2), config=SolverConfig(core=core)
-        )
+    def test_assumptions_do_not_persist(self):
+        session = SolverSession(CNF([[1, 2]], num_vars=2))
         session.assume(-1, -2)
         assert session.solve().status is Status.UNSATISFIABLE
         # Next call runs without the assumptions: SAT again.
         assert session.solve().status is Status.SATISFIABLE
 
-    @pytest.mark.parametrize("core", CORES)
-    def test_explicit_assumptions_replace_queued(self, core):
-        session = SolverSession(
-            CNF([[1, 2]], num_vars=2), config=SolverConfig(core=core)
-        )
+    def test_explicit_assumptions_replace_queued(self):
+        session = SolverSession(CNF([[1, 2]], num_vars=2))
         session.assume(-1, -2)
         result = session.solve(assumptions=[1])
         assert result.status is Status.SATISFIABLE
@@ -196,20 +171,16 @@ class TestSessionSemantics:
         # The queued set was consumed, not merely shadowed.
         assert session.solve().status is Status.SATISFIABLE
 
-    @pytest.mark.parametrize("core", CORES)
-    def test_added_clauses_persist(self, core):
-        session = SolverSession(3, config=SolverConfig(core=core))
+    def test_added_clauses_persist(self):
+        session = SolverSession(3)
         session.add(1, 2).add(-1, 3)
         assert session.solve().status is Status.SATISFIABLE
         session.add(-2).add(-3)
         assert session.solve().status is Status.UNSATISFIABLE
         assert session.added_clauses == 4
 
-    @pytest.mark.parametrize("core", CORES)
-    def test_failed_membership(self, core):
-        session = SolverSession(
-        CNF([[1, 2], [-1, 2]], num_vars=2), config=SolverConfig(core=core)
-        )
+    def test_failed_membership(self):
+        session = SolverSession(CNF([[1, 2], [-1, 2]], num_vars=2))
         result = session.solve(assumptions=[-2])
         assert result.status is Status.UNSATISFIABLE
         assert session.failed(-2) is True
@@ -223,13 +194,10 @@ class TestSessionSemantics:
         with pytest.raises(ValueError):
             session.assume(3)
 
-    @pytest.mark.parametrize("core", CORES)
-    def test_budgets_are_per_call(self, core):
+    def test_budgets_are_per_call(self):
         cnf = random_ksat(60, 258, seed=5)
-        session = SolverSession(cnf, config=SolverConfig(core=core))
-        baseline = Solver(
-            cnf.copy(), config=SolverConfig(core=core)
-        ).solve(max_conflicts=50)
+        session = SolverSession(cnf)
+        baseline = Solver(cnf.copy()).solve(max_conflicts=50)
         # Burn budget, then give a later call the same per-call budget a
         # fresh solver got: the session must not have *less* room.
         session.solve(max_conflicts=10)
@@ -237,15 +205,10 @@ class TestSessionSemantics:
         if baseline.status.decided:
             assert result.status.decided
 
-    @pytest.mark.parametrize("core", CORES)
-    def test_add_after_unsat_under_assumptions_keeps_session_usable(
-        self, core
-    ):
+    def test_add_after_unsat_under_assumptions_keeps_session_usable(self):
         """The stale-state regression: an UNSAT-under-assumptions answer
-        must not poison later adds/solves on either core."""
-        session = SolverSession(
-            CNF([[1, 2], [-1, 2]], num_vars=3), config=SolverConfig(core=core)
-        )
+        must not poison later adds/solves."""
+        session = SolverSession(CNF([[1, 2], [-1, 2]], num_vars=3))
         assert session.solve(assumptions=[-2]).status is Status.UNSATISFIABLE
         session.add(2, 3)  # grow the formula *after* the UNSAT answer
         result = session.solve()
@@ -255,13 +218,10 @@ class TestSessionSemantics:
         session.add(-2)
         assert session.solve().status is Status.UNSATISFIABLE
 
-    @pytest.mark.parametrize("core", CORES)
-    def test_add_after_hard_unsat_stays_unsat(self, core):
+    def test_add_after_hard_unsat_stays_unsat(self):
         """Once the formula itself is UNSAT, it stays UNSAT through any
         further adds (monotonicity) without raising."""
-        session = SolverSession(
-            CNF([[1], [-1]], num_vars=2), config=SolverConfig(core=core)
-        )
+        session = SolverSession(CNF([[1], [-1]], num_vars=2))
         assert session.solve().status is Status.UNSATISFIABLE
         session.add(2)
         assert session.solve().status is Status.UNSATISFIABLE
@@ -271,7 +231,7 @@ class TestSessionSemantics:
         """Consecutive solves on a warm session spend no extra conflicts
         re-deriving what the first call learned (the warm-restart win)."""
         cnf = random_ksat(40, 160, seed=9)
-        session = SolverSession(cnf, config=SolverConfig(core="arena"))
+        session = SolverSession(cnf)
         first = session.solve()
         assert first.status is Status.SATISFIABLE
         conflicts_before = session.solver.stats.conflicts
@@ -419,10 +379,15 @@ class TestSelectorSession:
 
 
 # ---------------------------------------------------------------------------
-# the cross-core fuzz oracle
+# the incremental fuzz oracle
 
 
-class TestCoresOracleSchedules:
+#: The chain trap: its derived schedule is known to hit
+#: UNSAT-under-assumptions (conflicting endpoints).
+CHAIN = CNF([[-1, 2], [-2, 3], [-3, 4], [-4, 5], [-5, 6]], num_vars=6)
+
+
+class TestIncrementalOracle:
     def test_derived_schedule_is_deterministic_and_well_formed(self):
         cnf = random_ksat(10, 30, seed=4)
         a, b = derive_schedule(cnf), derive_schedule(cnf)
@@ -437,10 +402,11 @@ class TestCoresOracleSchedules:
         assert derive_schedule(CNF(clauses=[], num_vars=0)) == []
 
     def test_clean_on_sound_solver(self):
-        oracle = PolicyAgreementOracle(mode="cores")
+        oracle = IncrementalOracle()
         for seed in range(3):
             cnf = random_ksat(8, 28, seed=seed)
             assert oracle.check(cnf, OracleContext()) == []
+        assert oracle.check(CHAIN, OracleContext()) == []
 
     def test_detects_core_corruption(self):
         """A session whose failed cores contain junk literals trips the
@@ -453,51 +419,50 @@ class TestCoresOracleSchedules:
                     result.core = [999]
                 return result
 
-        oracle = PolicyAgreementOracle(mode="cores")
-        oracle.session_factory = lambda cnf, core: LyingSession(
-            cnf.copy(), config=SolverConfig(core=core)
-        )
-        # The chain trap: its derived schedule is known to hit
-        # UNSAT-under-assumptions (conflicting endpoints).
-        cnf = CNF(
-            [[-1, 2], [-2, 3], [-3, 4], [-4, 5], [-5, 6]], num_vars=6
-        )
-        found = oracle.check(cnf, OracleContext())
+        oracle = IncrementalOracle()
+        oracle.session_factory = lambda cnf: LyingSession(cnf.copy())
+        found = oracle.check(CHAIN, OracleContext())
         assert any(d.kind == "core-not-assumptions" for d in found)
 
+    def test_detects_insufficient_core(self):
+        """A session that drops the load-bearing literals from its cores
+        trips the core-insufficient check."""
+
+        class ShrinkingSession(SolverSession):
+            def solve(self, assumptions=None, **kwargs):
+                result = super().solve(assumptions=assumptions, **kwargs)
+                if result.core:
+                    result.core = []
+                return result
+
+        oracle = IncrementalOracle()
+        oracle.session_factory = lambda cnf: ShrinkingSession(cnf.copy())
+        found = oracle.check(CHAIN, OracleContext())
+        assert any(d.kind == "core-insufficient" for d in found)
+
     def test_detects_status_flip(self):
-        """A session that lies UNSAT→SAT on the arena trips both the
-        cross-core and the warm-vs-fresh status checks."""
+        """A session that lies UNSAT→SAT trips the warm-vs-fresh status
+        check."""
 
         class FlippingSession(SolverSession):
             def solve(self, assumptions=None, **kwargs):
                 result = super().solve(assumptions=assumptions, **kwargs)
-                if (
-                    self.core == "arena"
-                    and result.status is Status.UNSATISFIABLE
-                    and result.core
-                ):
+                if result.status is Status.UNSATISFIABLE and result.core:
                     result.status = Status.SATISFIABLE
                     result.core = None
                 return result
 
-        oracle = PolicyAgreementOracle(mode="cores")
-        oracle.session_factory = lambda cnf, core: FlippingSession(
-            cnf.copy(), config=SolverConfig(core=core)
-        )
-        # The chain trap: derived schedules hit UNSAT-under-assumptions.
-        cnf = CNF(
-            [[-1, 2], [-2, 3], [-3, 4], [-4, 5], [-5, 6]], num_vars=6
-        )
-        found = oracle.check(cnf, OracleContext())
+        oracle = IncrementalOracle()
+        oracle.session_factory = lambda cnf: FlippingSession(cnf.copy())
+        found = oracle.check(CHAIN, OracleContext())
         assert any(d.kind == "status-mismatch" for d in found)
 
     def test_large_formulas_skip_the_schedule(self):
-        oracle = PolicyAgreementOracle(mode="cores")
+        oracle = IncrementalOracle()
         oracle.schedule_max_vars = 5
         fired = []
-        oracle.session_factory = lambda cnf, core: fired.append(core) or (
-            SolverSession(cnf.copy(), config=SolverConfig(core=core))
+        oracle.session_factory = lambda cnf: fired.append(cnf) or (
+            SolverSession(cnf.copy())
         )
         assert oracle.check(random_ksat(8, 28, seed=1), OracleContext()) == []
         assert fired == []
@@ -508,7 +473,7 @@ class TestCoresOracleSchedules:
 
 
 def _manager(**kwargs) -> SessionManager:
-    defaults = dict(model=None, solver_config=SolverConfig(core="arena"))
+    defaults = dict(model=None)
     defaults.update(kwargs)
     return SessionManager(**defaults)
 

@@ -3,15 +3,21 @@
 import pytest
 
 from repro.policies import DefaultPolicy, FrequencyPolicy
-from repro.solver.assignment import Trail
-from repro.solver.clause_db import ClauseDatabase, SolverClause
+from repro.solver.arena import (
+    ArenaPropagator,
+    ArenaTrail,
+    ArenaWatchLists,
+    ClauseArena,
+)
 from repro.solver.decide import Decider
-from repro.solver.propagate import Propagator
 from repro.solver.reduce import ReduceScheduler
 from repro.solver.restart import EMARestarts, LubyRestarts, luby
 from repro.solver.statistics import SolverStatistics
 from repro.solver.types import encode
-from repro.solver.watchers import WatchLists
+
+
+def make_trail(num_vars):
+    return ArenaTrail(num_vars, ClauseArena())
 
 
 class TestLuby:
@@ -68,7 +74,7 @@ class TestEMARestarts:
 
 class TestDecider:
     def test_picks_highest_activity(self):
-        trail = Trail(3)
+        trail = make_trail(3)
         decider = Decider(trail)
         decider.bump(2)
         decider.bump(2)
@@ -76,20 +82,20 @@ class TestDecider:
         assert decider.pick_branch_variable() == 2
 
     def test_skips_assigned(self):
-        trail = Trail(2)
+        trail = make_trail(2)
         decider = Decider(trail)
         decider.bump(1)
         trail.assign(encode(1), None)
         assert decider.pick_branch_variable() == 2
 
     def test_none_when_all_assigned(self):
-        trail = Trail(1)
+        trail = make_trail(1)
         decider = Decider(trail)
         trail.assign(encode(1), None)
         assert decider.pick_branch_variable() is None
 
     def test_requeue_after_backtrack(self):
-        trail = Trail(1)
+        trail = make_trail(1)
         decider = Decider(trail)
         assert decider.pick_branch_variable() == 1
         trail.new_decision_level()
@@ -99,7 +105,7 @@ class TestDecider:
         assert decider.pick_branch_variable() == 1
 
     def test_phase_saving_controls_polarity(self):
-        trail = Trail(1)
+        trail = make_trail(1)
         decider = Decider(trail, initial_phase=True)
         assert decider.pick_branch_literal() == encode(1)
         decider.requeue(1)
@@ -107,7 +113,7 @@ class TestDecider:
         assert decider.pick_branch_literal() == encode(-1)
 
     def test_rescale_preserves_order(self):
-        trail = Trail(3)
+        trail = make_trail(3)
         decider = Decider(trail)
         decider.activity[1] = 9e99
         decider.var_inc = 5e99
@@ -117,7 +123,7 @@ class TestDecider:
         assert decider.pick_branch_variable() in (1, 2)
 
     def test_decay_grows_increment(self):
-        trail = Trail(1)
+        trail = make_trail(1)
         decider = Decider(trail, decay=0.5)
         before = decider.var_inc
         decider.decay_activities()
@@ -126,7 +132,7 @@ class TestDecider:
 
 class TestClauseDatabase:
     def test_reducible_excludes_low_glue_and_binaries(self):
-        db = ClauseDatabase(keep_glue=2)
+        db = ClauseArena(keep_glue=2)
         low = db.add_learned([2, 4, 6], glue=2)
         binary = db.add_learned([2, 4], glue=5)
         big = db.add_learned([2, 4, 6, 8], glue=5)
@@ -136,25 +142,26 @@ class TestClauseDatabase:
         assert binary not in reducible
 
     def test_bump_and_rescale(self):
-        db = ClauseDatabase()
-        clause = db.add_learned([2, 4, 6], glue=3)
-        clause.activity = 2e20
-        db.bump_clause(clause)
-        assert clause.activity == pytest.approx(2.0)  # rescaled by 1e-20
+        db = ClauseArena()
+        cid = db.add_learned([2, 4, 6], glue=3)
+        db.activity[cid] = 2e20
+        db.bump_clause(cid)
+        assert db.activity[cid] == pytest.approx(2.0)  # rescaled by 1e-20
         assert db.clause_inc == pytest.approx(1e-20)
-        assert clause.used
+        assert db.used[cid]
 
     def test_sweep_removes_garbage(self):
-        db = ClauseDatabase()
+        db = ClauseArena()
         keep = db.add_learned([2, 4, 6], glue=3)
         drop = db.add_learned([2, 4, 8], glue=3)
         db.mark_garbage(drop)
-        removed = db.sweep()
-        assert removed == 1
-        assert list(db.live_learned()) == [keep]
+        db.compact()
+        assert db.live_learned_ids() == [keep]
+        assert db.offset[drop] == -1
+        assert db.literals(keep) == [2, 4, 6]
 
     def test_counts(self):
-        db = ClauseDatabase()
+        db = ClauseArena()
         db.add_original([2, 4])
         db.add_learned([2, 6, 8], glue=3)
         assert db.num_original == 1
@@ -162,17 +169,17 @@ class TestClauseDatabase:
 
 
 def build_reduce_fixture(policy, num_clauses=10, **kwargs):
-    trail = Trail(30)
-    watches = WatchLists(30)
+    db = ClauseArena(keep_glue=2)
+    trail = ArenaTrail(30, db)
+    watches = ArenaWatchLists(30, db)
     stats = SolverStatistics()
-    prop = Propagator(trail, watches, stats)
-    db = ClauseDatabase(keep_glue=2)
+    prop = ArenaPropagator(trail, watches, stats)
     clauses = []
     for i in range(num_clauses):
         lits = [encode(1 + i), encode(-(2 + i)), encode(3 + i)]
-        clause = db.add_learned(lits, glue=3 + (i % 4))
-        watches.attach(clause)
-        clauses.append(clause)
+        cid = db.add_learned(lits, glue=3 + (i % 4))
+        watches.attach(cid)
+        clauses.append(cid)
     reducer = ReduceScheduler(db, trail, watches, prop, stats, policy, **kwargs)
     return reducer, db, stats, clauses, prop
 
@@ -198,20 +205,20 @@ class TestReduceScheduler:
             DefaultPolicy(), num_clauses=8, target_fraction=0.5, protect_used=False
         )
         reducer.reduce()
-        survivors = list(db.live_learned())
-        worst_surviving = max(c.glue for c in survivors)
-        # All glue-6 clauses (the worst tier) must be gone before glue-3.
-        assert all(c.glue <= worst_surviving for c in survivors)
-        assert min(c.glue for c in clauses) in {c.glue for c in survivors}
+        survivors = [db.glue[cid] for cid in db.live_learned_ids()]
+        deleted = [db.glue[cid] for cid in clauses if db.garbage[cid]]
+        # The worst glue tier goes before any better one survives it.
+        assert max(survivors) <= min(deleted)
+        assert min(db.glue[cid] for cid in clauses) in survivors
 
     def test_used_clauses_get_one_round_grace(self):
         reducer, db, _, clauses, _ = build_reduce_fixture(
             DefaultPolicy(), num_clauses=4, target_fraction=1.0, protect_used=True
         )
-        for clause in clauses:
-            clause.used = True
+        for cid in clauses:
+            db.used[cid] = 1
         assert reducer.reduce() == 0
-        assert all(not c.used for c in db.live_learned())
+        assert not any(db.used[cid] for cid in db.live_learned_ids())
         assert reducer.reduce() == 4
 
     def test_reason_clauses_protected(self):
@@ -219,9 +226,9 @@ class TestReduceScheduler:
             DefaultPolicy(), num_clauses=3, target_fraction=1.0, protect_used=False
         )
         reason = clauses[0]
-        reducer.trail.assign(reason.lits[0], reason)
+        reducer.trail.assign(db.literals(reason)[0], reason)
         reducer.reduce()
-        assert reason in list(db.live_learned())
+        assert reason in db.live_learned_ids()
 
     def test_frequencies_reset_after_reduce(self):
         reducer, _, _, _, prop = build_reduce_fixture(DefaultPolicy(), protect_used=False)
@@ -247,15 +254,15 @@ class TestReduceScheduler:
     def test_frequency_policy_changes_tie_breaking(self):
         # Two clauses with identical glue/size; one over hot variables.
         policy = FrequencyPolicy()
-        trail = Trail(10)
-        watches = WatchLists(10)
+        db = ClauseArena(keep_glue=2)
+        trail = ArenaTrail(10, db)
+        watches = ArenaWatchLists(10, db)
         stats = SolverStatistics()
-        prop = Propagator(trail, watches, stats)
-        db = ClauseDatabase(keep_glue=2)
+        prop = ArenaPropagator(trail, watches, stats)
         cold = db.add_learned([encode(1), encode(2), encode(3)], glue=4)
         hot = db.add_learned([encode(4), encode(5), encode(6)], glue=4)
-        for c in (cold, hot):
-            watches.attach(c)
+        for cid in (cold, hot):
+            watches.attach(cid)
         for hot_var in (4, 5, 6):
             prop.bump_frequency(hot_var, 100)
         prop.bump_frequency(1, 1)
@@ -264,5 +271,4 @@ class TestReduceScheduler:
             target_fraction=0.5, protect_used=False,
         )
         reducer.reduce()
-        survivors = list(db.live_learned())
-        assert survivors == [hot]
+        assert db.live_learned_ids() == [hot]

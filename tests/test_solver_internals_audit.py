@@ -1,12 +1,10 @@
-"""Post-solve audit of solver-internal invariants, for both cores.
+"""Post-solve audit of solver-internal invariants.
 
 After any solve, the engine's data structures must be internally
 consistent: watch lists point at live clauses, learned clauses are
 well-formed (distinct literals, sane glue), and trail bookkeeping is
-coherent.  The checks are representation-specific — the object core is
-audited through its clause objects and watcher records, the arena core
-through its flat buffer, metadata arrays, and offset tables — so each
-parametrized test runs the matching auditor.
+coherent.  The arena is audited through its flat buffer, metadata
+arrays, and offset tables.
 """
 
 import pytest
@@ -14,52 +12,7 @@ import pytest
 from repro.cnf import random_ksat, pigeonhole
 from repro.policies import FrequencyPolicy
 from repro.selection.labeling import default_labeling_config
-from repro.solver import Solver, SolverConfig, Status
-
-
-def audit_object(solver: Solver) -> None:
-    """Assert every object-core invariant we can check from outside."""
-    # -- clause hygiene ---------------------------------------------------
-    for clause in solver.clause_db.original + solver.clause_db.learned:
-        if clause.garbage:
-            continue
-        variables = [lit >> 1 for lit in clause.lits]
-        assert len(set(clause.lits)) == len(clause.lits), "duplicate literals"
-        assert len(set(variables)) == len(variables), "tautological clause"
-        assert len(clause.lits) >= 2, "unit clauses never live in the DB"
-        if clause.learned:
-            assert clause.glue >= 1
-
-    # -- watch invariant ---------------------------------------------------
-    in_binary_table = {
-        id(rec[1]) for lst in solver.watches.binary for rec in lst
-    }
-    in_long_table = {
-        id(rec[1]) for lst in solver.watches.watches for rec in lst
-    }
-    for clause in solver.clause_db.live_clauses():
-        for watched in clause.lits[:2]:
-            assert clause in solver.watches.watchers_of(watched), (
-                "watched literal not registered"
-            )
-        # Each clause lives in exactly one table, picked by its length.
-        if len(clause.lits) == 2:
-            assert id(clause) not in in_long_table, "binary in long table"
-        else:
-            assert id(clause) not in in_binary_table, "long clause in binary table"
-
-    # -- watcher records are well-formed and reference known clauses --------
-    known = set(
-        id(c) for c in solver.clause_db.original + solver.clause_db.learned
-    )
-    for table in (solver.watches.binary, solver.watches.watches):
-        for lst in table:
-            for blocker, clause in lst:
-                assert id(clause) in known or clause.garbage
-                if not clause.garbage:
-                    assert blocker in clause.lits, "blocker outside clause"
-
-    audit_trail(solver)
+from repro.solver import Solver, Status
 
 
 def audit_arena(solver: Solver) -> None:
@@ -172,53 +125,36 @@ def audit_trail(solver: Solver) -> None:
         assert solver.trail.value_var(var) != -1
 
 
-AUDITS = {"object": audit_object, "arena": audit_arena}
-
-
-def audit(solver: Solver) -> None:
-    AUDITS[solver.config.core](solver)
-
-
-def core_config(core: str, **overrides) -> SolverConfig:
-    base = default_labeling_config()
-    base.core = core
-    for key, value in overrides.items():
-        setattr(base, key, value)
-    return base
-
-
-@pytest.mark.parametrize("core", ["object", "arena"])
 @pytest.mark.parametrize("seed", range(6))
-def test_invariants_after_random_solve(seed, core):
+def test_invariants_after_random_solve(seed):
     cnf = random_ksat(60, 255, seed=seed)
-    solver = Solver(cnf, config=core_config(core))
+    solver = Solver(cnf, config=default_labeling_config())
     solver.solve(max_conflicts=2000)
-    audit(solver)
+    audit_arena(solver)
 
 
-@pytest.mark.parametrize("core", ["object", "arena"])
-def test_invariants_after_reduction_heavy_run(core):
+def test_invariants_after_reduction_heavy_run():
     cnf = random_ksat(150, 645, seed=2)
-    solver = Solver(cnf, policy=FrequencyPolicy(), config=core_config(core))
+    solver = Solver(
+        cnf, policy=FrequencyPolicy(), config=default_labeling_config()
+    )
     result = solver.solve(max_conflicts=4000)
     assert result.stats.reductions > 0
-    audit(solver)
+    audit_arena(solver)
 
 
-@pytest.mark.parametrize("core", ["object", "arena"])
-def test_invariants_after_unsat(core):
-    solver = Solver(pigeonhole(5), config=SolverConfig(core=core))
+def test_invariants_after_unsat():
+    solver = Solver(pigeonhole(5))
     assert solver.solve().status is Status.UNSATISFIABLE
-    audit(solver)
+    audit_arena(solver)
 
 
-@pytest.mark.parametrize("core", ["object", "arena"])
-def test_invariants_survive_incremental_use(core):
+def test_invariants_survive_incremental_use():
     cnf = random_ksat(40, 160, seed=2)
-    solver = Solver(cnf, config=SolverConfig(core=core))
+    solver = Solver(cnf)
     solver.solve()
     solver.add_clause([-1, -2])
     solver.solve()
     solver.add_clause([3])
     solver.solve(assumptions=[4])
-    audit(solver)
+    audit_arena(solver)

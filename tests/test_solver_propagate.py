@@ -1,24 +1,27 @@
-"""Tests for watched-literal unit propagation."""
+"""Tests for watched-literal unit propagation over the clause arena."""
 
-from repro.solver.assignment import Trail
-from repro.solver.clause_db import SolverClause
-from repro.solver.propagate import Propagator
+from repro.solver.arena import (
+    ArenaPropagator,
+    ArenaTrail,
+    ArenaWatchLists,
+    ClauseArena,
+)
 from repro.solver.statistics import SolverStatistics
-from repro.solver.types import FALSE, TRUE, UNASSIGNED, encode
-from repro.solver.watchers import WatchLists
+from repro.solver.types import TRUE, UNASSIGNED, encode
 
 
 def make_engine(num_vars):
-    trail = Trail(num_vars)
-    watches = WatchLists(num_vars)
+    arena = ClauseArena()
+    trail = ArenaTrail(num_vars, arena)
+    watches = ArenaWatchLists(num_vars, arena)
     stats = SolverStatistics()
-    return trail, watches, Propagator(trail, watches, stats), stats
+    return trail, watches, ArenaPropagator(trail, watches, stats), stats
 
 
 def attach(watches, lits):
-    clause = SolverClause([encode(l) for l in lits])
-    watches.attach(clause)
-    return clause
+    cid = watches.arena.add_original([encode(l) for l in lits])
+    watches.attach(cid)
+    return cid
 
 
 class TestPropagation:
@@ -43,20 +46,26 @@ class TestPropagation:
 
     def test_watch_relocation(self):
         trail, watches, prop, _ = make_engine(4)
-        clause = attach(watches, [1, 2, 3, 4])
+        cid = attach(watches, [1, 2, 3, 4])
         trail.assign(encode(-1), None)
         prop.propagate()
         # Watch moved off the falsified literal; no assignment forced.
         assert trail.value_var(2) == UNASSIGNED
-        assert clause in watches.watchers_of(clause.lits[0]) or clause in watches.watchers_of(clause.lits[1])
+        watched = [
+            lit for lit in watches.arena.literals(cid)
+            if cid in watches.long_watch_ids(lit)
+        ]
+        assert len(watched) == 2
+        assert encode(1) not in watched
 
     def test_conflict_detection(self):
         trail, watches, prop, _ = make_engine(2)
-        conflict_clause = attach(watches, [1, 2])
+        attach(watches, [1, 2])
         trail.assign(encode(-1), None)
         trail.assign(encode(-2), None)
         conflict = prop.propagate()
-        assert conflict is conflict_clause
+        # Binary conflicts carry the clause's two (false) literals.
+        assert set(conflict) == {encode(1), encode(2)}
 
     def test_conflict_via_two_units(self):
         trail, watches, prop, _ = make_engine(3)
@@ -67,25 +76,27 @@ class TestPropagation:
         assert conflict is not None
 
     def test_reason_recorded_with_implied_literal_first(self):
-        trail, watches, prop, _ = make_engine(3)
-        clause = attach(watches, [-1, -2, 3])
+        trail, watches, prop, _ = make_engine(4)
+        cid = attach(watches, [-1, -2, -4, 3])
         trail.assign(encode(1), None)
         trail.assign(encode(2), None)
+        trail.assign(encode(4), None)
         prop.propagate()
         assert trail.value_var(3) == TRUE
-        assert trail.reasons[3] is clause
-        assert clause.lits[0] == encode(3)
+        assert trail.reasons[3] == cid
+        assert watches.arena.literals(cid)[0] == encode(3)
 
     def test_garbage_clauses_never_propagate_once_detached(self):
         # Contract: garbage is detached before propagation runs (as
         # ReduceScheduler.reduce does), so the hot loop never sees it.
-        trail, watches, prop, _ = make_engine(2)
-        clause = attach(watches, [-1, 2])
-        clause.garbage = True
+        trail, watches, prop, _ = make_engine(3)
+        cid = attach(watches, [-1, -2, 3])
+        watches.arena.mark_garbage(cid)
         watches.detach_garbage()
         trail.assign(encode(1), None)
+        trail.assign(encode(2), None)
         assert prop.propagate() is None
-        assert trail.value_var(2) == UNASSIGNED
+        assert trail.value_var(3) == UNASSIGNED
 
 
 class TestFrequencyCounters:

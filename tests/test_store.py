@@ -387,7 +387,7 @@ class TestBenchTrend:
             )
         (point,) = speedups
         assert point["value"] == pytest.approx(
-            aggregate["arena"] / aggregate["new"], rel=1e-3
+            aggregate["arena"] / aggregate["legacy"], rel=1e-3
         )
 
     def test_degraded_bench_fails_regression_gate(self, tmp_path, capsys):

@@ -5,13 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cnf import CNF, random_ksat
 from repro.solver import Solver, SolverConfig, Status, VMTFDecider, brute_force_status
-from repro.solver.assignment import Trail
+from repro.solver.arena import ArenaTrail, ClauseArena
 from repro.solver.types import encode
 
 
 class TestQueueMechanics:
     def make(self, n=5):
-        return VMTFDecider(Trail(n))
+        return VMTFDecider(ArenaTrail(n, ClauseArena()))
 
     def test_initial_order_is_reverse_insertion(self):
         decider = self.make(3)

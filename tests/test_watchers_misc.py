@@ -3,97 +3,101 @@
 import pytest
 
 from repro.bench.calibration import EffortScale, PAPER_TIMEOUT_SECONDS
-from repro.solver.clause_db import SolverClause
+from repro.solver.arena import ArenaWatchLists, ClauseArena
 from repro.solver.statistics import SolverStatistics
-from repro.solver.watchers import WatchLists
+
+
+def make_watches(num_vars):
+    return ArenaWatchLists(num_vars, ClauseArena())
+
+
+def attach(watches, lits):
+    cid = watches.arena.add_original(list(lits))
+    watches.attach(cid)
+    return cid
+
+
+def watched_ids(watches, lit):
+    """Every clause id with a watcher record on ``lit``, any table."""
+    return watches.ternary_watch_ids(lit) + watches.long_watch_ids(lit)
 
 
 class TestWatchLists:
     def test_attach_requires_two_literals(self):
-        watches = WatchLists(3)
+        watches = make_watches(3)
+        cid = watches.arena.add_original([2])
         with pytest.raises(AssertionError):
-            watches.attach(SolverClause([2]))
+            watches.attach(cid)
 
     def test_attach_registers_both_watches(self):
-        watches = WatchLists(3)
-        clause = SolverClause([2, 4, 6])
-        watches.attach(clause)
-        assert clause in watches.watchers_of(2)
-        assert clause in watches.watchers_of(4)
-        assert clause not in watches.watchers_of(6)
+        watches = make_watches(4)
+        cid = attach(watches, [2, 4, 6, 8])
+        assert cid in watches.long_watch_ids(2)
+        assert cid in watches.long_watch_ids(4)
+        assert cid not in watches.long_watch_ids(6)
         assert watches.total_watches() == 2
 
     def test_detach_garbage_sweeps_everywhere(self):
-        watches = WatchLists(3)
-        keep = SolverClause([2, 4])
-        drop = SolverClause([2, 6])
-        watches.attach(keep)
-        watches.attach(drop)
-        drop.garbage = True
+        watches = make_watches(4)
+        keep = attach(watches, [2, 4, 6])
+        drop = attach(watches, [2, 6, 8])
+        watches.arena.mark_garbage(drop)
         watches.detach_garbage()
-        assert keep in watches.watchers_of(2)
-        assert drop not in watches.watchers_of(2)
-        assert watches.total_watches() == 2
-
-    def test_manual_watch(self):
-        watches = WatchLists(2)
-        clause = SolverClause([2, 4])
-        watches.watch(4, clause)
-        assert watches.watchers_of(4) == [clause]
+        assert keep in watches.ternary_watch_ids(2)
+        assert drop not in watches.ternary_watch_ids(2)
+        assert watches.total_watches() == 3
 
     def test_binary_clauses_use_binary_table(self):
-        watches = WatchLists(3)
-        binary = SolverClause([2, 4])
-        long = SolverClause([2, 4, 6])
-        watches.attach(binary)
-        watches.attach(long)
-        assert any(rec[1] is binary for rec in watches.binary[2])
-        assert any(rec[1] is binary for rec in watches.binary[4])
-        assert all(rec[1] is not binary for rec in watches.watches[2])
-        assert any(rec[1] is long for rec in watches.watches[2])
+        watches = make_watches(4)
+        attach(watches, [2, 4])
+        long = attach(watches, [2, 4, 6, 8])
+        assert 4 in watches.binary[2]
+        assert 2 in watches.binary[4]
+        assert watches.long_watch_ids(2) == [long]
+        assert watches.ternary_watch_ids(2) == []
         assert watches.total_watches() == 4
 
     def test_garbage_never_survives_sweep(self):
-        # Mixed population in both tables, several garbage clauses — the
-        # single-pass sweep must leave no garbage record in either table,
+        # Mixed population in every table, several garbage clauses — the
+        # single-pass sweep must leave no garbage record in any table,
         # at any literal index, while preserving every live record.
-        watches = WatchLists(6)
+        # Binary clauses are never garbage (reduce excludes them).
+        watches = make_watches(6)
         live = [
-            SolverClause([2, 4]),
-            SolverClause([3, 5]),
-            SolverClause([2, 5, 7]),
-            SolverClause([4, 6, 8, 10]),
+            attach(watches, [2, 4]),
+            attach(watches, [3, 5]),
+            attach(watches, [2, 5, 7]),
+            attach(watches, [4, 6, 8, 10]),
         ]
         dead = [
-            SolverClause([2, 6]),
-            SolverClause([4, 5]),
-            SolverClause([2, 4, 9]),
-            SolverClause([3, 7, 11]),
+            attach(watches, [2, 4, 9]),
+            attach(watches, [3, 7, 11]),
+            attach(watches, [2, 6, 8, 12]),
         ]
-        for clause in live + dead:
-            watches.attach(clause)
-        for clause in dead:
-            clause.garbage = True
+        arena = watches.arena
+        for cid in dead:
+            arena.mark_garbage(cid)
         watches.detach_garbage()
-        for table in (watches.binary, watches.watches):
-            for records in table:
-                for record in records:
-                    assert not record[1].garbage
-        for clause in live:
-            first, second = clause.lits[0], clause.lits[1]
-            assert clause in watches.watchers_of(first)
-            assert clause in watches.watchers_of(second)
-        assert watches.total_watches() == 2 * len(live)
+        for lit in range(len(watches.ternary)):
+            for cid in watched_ids(watches, lit):
+                assert not arena.garbage[cid]
+        for cid in live:
+            lits = arena.literals(cid)
+            if len(lits) == 2:
+                assert lits[1] in watches.binary[lits[0]]
+            else:
+                assert cid in watched_ids(watches, lits[0])
+                assert cid in watched_ids(watches, lits[1])
+        # Two records per binary, three per ternary, two per long clause.
+        assert watches.total_watches() == 2 * 2 + 3 + 2
 
     def test_sweep_of_fully_garbage_lists_empties_them(self):
-        watches = WatchLists(4)
-        clauses = [SolverClause([2, 4]), SolverClause([2, 4, 6])]
-        for clause in clauses:
-            watches.attach(clause)
-            clause.garbage = True
+        watches = make_watches(4)
+        for lits in ([2, 4, 6], [2, 4, 6, 8]):
+            watches.arena.mark_garbage(attach(watches, lits))
         watches.detach_garbage()
         assert watches.total_watches() == 0
-        assert watches.watchers_of(2) == []
+        assert watched_ids(watches, 2) == []
 
 
 class TestStatisticsEdges:
