@@ -329,10 +329,12 @@ SCENARIOS: Dict[str, ChaosScenario] = {
 
 
 def scenario_names() -> List[str]:
+    """Names of every registered chaos scenario, sorted."""
     return sorted(SCENARIOS)
 
 
 def get_scenario(name: str) -> ChaosScenario:
+    """Look up a registered scenario; ``KeyError`` lists the known names."""
     try:
         return SCENARIOS[name]
     except KeyError:

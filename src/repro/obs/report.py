@@ -6,7 +6,7 @@
   totals (falling back to aggregating ``span`` events for truncated
   traces);
 * **event counts** — restarts, reductions (with clauses deleted),
-  rephases, simplify passes, and the rest of the event taxonomy;
+  simplify passes, and the rest of the event taxonomy;
 * **task latency** — exact percentiles over ``task-finish`` wall-clock
   (the supervisor measures failed attempts too, so timeouts show their
   real cost);

@@ -41,7 +41,7 @@ EVENT_TYPES = frozenset({
     # run lifecycle
     "run-start", "run-end",
     # solver (repro.solver)
-    "solve-start", "solve-end", "restart", "reduce", "rephase", "mode-switch",
+    "solve-start", "solve-end", "restart", "reduce",
     # simplification (repro.simplify)
     "simplify-pass",
     # parallel execution (repro.parallel)

@@ -34,4 +34,5 @@ def policy_for_label(label: int) -> DeletionPolicy:
 
 
 def policy_names() -> List[str]:
+    """Names of every registered deletion policy, sorted."""
     return sorted(POLICY_REGISTRY)

@@ -4,7 +4,7 @@ A from-scratch conflict-driven clause-learning solver with the features
 the paper's deletion-policy experiments depend on: two-watched-literal
 propagation with per-variable propagation-frequency counters, 1-UIP
 learning with minimization and glue computation, VSIDS decisions with
-phase saving, Luby/EMA restarts, Kissat-style tiered clause reduction
+phase saving, Luby restarts, Kissat-style tiered clause reduction
 driven by a pluggable :class:`~repro.policies.base.DeletionPolicy`, and
 DRAT proof logging.
 """
@@ -20,15 +20,13 @@ from repro.solver.arena import (
     ClauseArena,
 )
 from repro.solver.decide import Decider
-from repro.solver.vmtf import VMTFDecider
-from repro.solver.restart import LubyRestarts, EMARestarts, luby
+from repro.solver.restart import LubyRestarts, luby
 from repro.solver.reduce import ReduceScheduler
 from repro.solver.proof import ProofLog
 from repro.solver.solver import Solver, SolverConfig, SolveResult, solve
 from repro.solver.session import SolverSession, replay_schedule
 from repro.solver.reference import brute_force_status, dpll_solve
 from repro.solver.drat import check_drat, trim_proof, DratError
-from repro.solver.walksat import WalkSAT, WalkSATResult, walksat_phases
 
 __all__ = [
     "Status",
@@ -45,9 +43,7 @@ __all__ = [
     "ArenaPropagator",
     "ArenaConflictAnalyzer",
     "Decider",
-    "VMTFDecider",
     "LubyRestarts",
-    "EMARestarts",
     "luby",
     "ReduceScheduler",
     "ProofLog",
@@ -62,7 +58,4 @@ __all__ = [
     "check_drat",
     "trim_proof",
     "DratError",
-    "WalkSAT",
-    "WalkSATResult",
-    "walksat_phases",
 ]

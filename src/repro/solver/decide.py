@@ -21,18 +21,13 @@ from repro.solver.arena import ArenaTrail
 class Decider:
     """VSIDS variable order + saved phases."""
 
-    def __init__(
-        self,
-        trail: ArenaTrail,
-        decay: float = 0.95,
-        initial_phase: bool = True,
-    ):
+    def __init__(self, trail: ArenaTrail):
         self.trail = trail
         num_vars = trail.num_vars
         self.activity: List[float] = [0.0] * (num_vars + 1)
-        self.saved_phase: List[bool] = [initial_phase] * (num_vars + 1)
+        self.saved_phase: List[bool] = [True] * (num_vars + 1)
         self.var_inc: float = 1.0
-        self.decay: float = decay
+        self.decay: float = 0.95
         # Lazy max-heap of (-activity, var); may contain stale entries.
         self._heap: List[tuple] = [(0.0, v) for v in range(1, num_vars + 1)]
         heapq.heapify(self._heap)
@@ -58,51 +53,6 @@ class Decider:
         ]
         heapq.heapify(self._heap)
 
-    # -- phases --------------------------------------------------------------
-
-    def save_phase(self, var: int, value: bool) -> None:
-        self.saved_phase[var] = value
-
-    def save_trail_phases(self) -> None:
-        """Snapshot polarities of everything currently assigned."""
-        for lit in self.trail.trail:
-            self.saved_phase[lit >> 1] = (lit & 1) == 0
-
-    # -- rephasing -------------------------------------------------------------
-
-    def snapshot_best_phases(self) -> None:
-        """Remember the current trail's polarities as the "best" phases.
-
-        The solver calls this whenever the trail reaches a new maximum —
-        the assignment that got closest to satisfying everything.
-        """
-        self._best_phase = list(self.saved_phase)
-        for lit in self.trail.trail:
-            self._best_phase[lit >> 1] = (lit & 1) == 0
-
-    def rephase(self, style: str, initial_phase: bool = True) -> None:
-        """Reset all saved phases (Kissat's rephasing, simplified).
-
-        Styles: ``"original"`` (the configured initial phase),
-        ``"inverted"`` (its negation), ``"best"`` (polarities of the
-        longest trail seen so far; falls back to original when no
-        snapshot exists yet).
-        """
-        if style == "original":
-            value = initial_phase
-            self.saved_phase = [value] * len(self.saved_phase)
-        elif style == "inverted":
-            value = not initial_phase
-            self.saved_phase = [value] * len(self.saved_phase)
-        elif style == "best":
-            best = getattr(self, "_best_phase", None)
-            if best is None:
-                self.saved_phase = [initial_phase] * len(self.saved_phase)
-            else:
-                self.saved_phase = list(best)
-        else:
-            raise ValueError(f"unknown rephase style {style!r}")
-
     # -- decisions -------------------------------------------------------------
 
     def requeue(self, var: int) -> None:
@@ -116,8 +66,8 @@ class Decider:
         popped carries its maximal recorded activity — stale duplicates
         sort strictly later and are simply skipped when re-encountered.
         """
-        # lit_values[var << 1] mirrors the per-variable value and is
-        # the one truth array both solver cores maintain.
+        # lit_values[var << 1] is the variable's value: the trail's
+        # single source of truth.
         lit_values = self.trail.lit_values
         heap = self._heap
         while heap:

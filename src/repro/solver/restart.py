@@ -1,18 +1,12 @@
-"""Restart policies: Luby sequence and Glucose-style EMA glue restarts.
+"""Restart policy: the Luby sequence.
 
 Restarts periodically abandon the current search prefix (keeping learned
-clauses and activities) to escape unproductive subtrees.  Two policies:
-
-* **Luby**: restart after ``base * luby(i)`` conflicts — the reluctant
-  doubling sequence 1 1 2 1 1 2 4 ... with optimal worst-case properties.
-* **EMA** (Glucose): restart when the fast exponential moving average of
-  learned-clause glue exceeds the slow average by a margin, i.e. when the
-  solver is currently learning unusually bad clauses.
+clauses and activities) to escape unproductive subtrees.  The solver
+restarts after ``base * luby(i)`` conflicts — the reluctant doubling
+sequence 1 1 2 1 1 2 4 ... with optimal worst-case properties.
 """
 
 from __future__ import annotations
-
-from typing import Callable, Optional
 
 
 def luby(i: int) -> int:
@@ -41,7 +35,7 @@ class LubyRestarts:
         self._limit = base * luby(1)
         self._conflicts = 0
 
-    def on_conflict(self, glue: int) -> None:
+    def on_conflict(self) -> None:
         self._conflicts += 1
 
     def should_restart(self) -> bool:
@@ -51,100 +45,3 @@ class LubyRestarts:
         self._index += 1
         self._limit = self.base * luby(self._index)
         self._conflicts = 0
-
-
-class SwitchingRestarts:
-    """Kissat-style alternation between *focused* and *stable* modes.
-
-    Focused mode restarts aggressively on glue spikes (EMA policy);
-    stable mode restarts on the slow Luby schedule.  The solver starts
-    focused and toggles every ``mode_interval`` conflicts, doubling the
-    interval after each switch so later phases run longer — the shape of
-    Kissat's ``mode`` limits.
-    """
-
-    def __init__(
-        self,
-        luby_base: int = 100,
-        mode_interval: int = 1000,
-        fast_alpha: float = 1.0 / 32.0,
-        slow_alpha: float = 1.0 / 4096.0,
-        on_switch: Optional[Callable[[int, str], None]] = None,
-    ):
-        if mode_interval < 1:
-            raise ValueError("mode_interval must be >= 1")
-        self.focused = EMARestarts(fast_alpha=fast_alpha, slow_alpha=slow_alpha)
-        self.stable = LubyRestarts(base=luby_base)
-        self.in_stable = False
-        self.switches = 0
-        self._conflicts = 0
-        self._switch_limit = mode_interval
-        self._interval = mode_interval
-        #: Called as ``on_switch(switch_count, new_mode)`` after every
-        #: mode change; lets the solver trace mode switches without this
-        #: class knowing about observability.
-        self.on_switch = on_switch
-
-    @property
-    def _current(self):
-        return self.stable if self.in_stable else self.focused
-
-    def on_conflict(self, glue: int) -> None:
-        self._conflicts += 1
-        self._current.on_conflict(glue)
-        if self._conflicts >= self._switch_limit:
-            self.in_stable = not self.in_stable
-            self.switches += 1
-            self._interval *= 2
-            self._switch_limit = self._conflicts + self._interval
-            if self.on_switch is not None:
-                self.on_switch(
-                    self.switches, "stable" if self.in_stable else "focused"
-                )
-
-    def should_restart(self) -> bool:
-        return self._current.should_restart()
-
-    def on_restart(self) -> None:
-        self._current.on_restart()
-
-
-class EMARestarts:
-    """Glucose-style restarts from fast/slow glue moving averages."""
-
-    def __init__(
-        self,
-        fast_alpha: float = 1.0 / 32.0,
-        slow_alpha: float = 1.0 / 4096.0,
-        margin: float = 1.25,
-        min_conflicts: int = 50,
-    ):
-        self.fast_alpha = fast_alpha
-        self.slow_alpha = slow_alpha
-        self.margin = margin
-        self.min_conflicts = min_conflicts
-        self.fast = 0.0
-        self.slow = 0.0
-        self._conflicts = 0
-        self._since_restart = 0
-
-    def on_conflict(self, glue: int) -> None:
-        if self._conflicts == 0:
-            # Seed both averages with the first observation; otherwise the
-            # fast EMA leaves the all-zero start far sooner than the slow
-            # one and the very first conflicts look like a glue spike.
-            self.fast = float(glue)
-            self.slow = float(glue)
-        self._conflicts += 1
-        self._since_restart += 1
-        self.fast += self.fast_alpha * (glue - self.fast)
-        self.slow += self.slow_alpha * (glue - self.slow)
-
-    def should_restart(self) -> bool:
-        if self._since_restart < self.min_conflicts:
-            return False
-        return self.fast > self.margin * self.slow
-
-    def on_restart(self) -> None:
-        self._since_restart = 0
-        self.fast = self.slow

@@ -3,8 +3,8 @@
 :class:`SolverSession` is the warm-restart facade over
 :class:`~repro.solver.solver.Solver`: one long-lived solver instance
 answers a *sequence* of closely related queries, keeping everything a
-fresh solver would have to rebuild — learned clauses, VSIDS/VMTF
-activity and saved phases, restart state, and the flat clause arena
+fresh solver would have to rebuild — learned clauses, VSIDS
+activity and saved phases, Luby restart state, and the flat clause arena
 itself — alive between calls.  The interface follows
 IPASIR's shape:
 

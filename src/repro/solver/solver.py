@@ -36,40 +36,33 @@ from repro.solver.arena import (
     ClauseArena,
 )
 from repro.solver.decide import Decider
-from repro.solver.vmtf import VMTFDecider
 from repro.solver.proof import ProofLog
 from repro.solver.reduce import ReduceScheduler
-from repro.solver.restart import EMARestarts, LubyRestarts, SwitchingRestarts
+from repro.solver.restart import LubyRestarts
 from repro.solver.statistics import SolverStatistics
 from repro.solver.types import FALSE, TRUE, UNASSIGNED, Model, Status, encode
 
 
 @dataclass
 class SolverConfig:
-    """Tunable solver parameters (defaults follow Kissat's shape)."""
+    """Tunable solver parameters (defaults follow Kissat's shape).
 
-    var_decay: float = 0.95
-    clause_decay: float = 0.999
-    initial_phase: bool = True
-    decision_heuristic: str = "vsids"  # "vsids" | "vmtf"
-    restart_mode: str = "luby"  # "luby" | "ema" | "switching" | "none"
+    The search itself is fixed — VSIDS with phase saving, Luby restarts —
+    so only the clause-reduction schedule and the restart unit vary.
+    """
+
     luby_base: int = 100
     keep_glue: int = 2  # learned clauses at/below are non-reducible
     reduce_interval: int = 300
     reduce_interval_growth: int = 100
     reduce_fraction: float = 0.5
     protect_used: bool = True
-    # Rephasing: every `rephase_interval` conflicts, reset saved phases,
-    # cycling best -> inverted -> best -> original (0 disables).
-    rephase_interval: int = 0
 
     def __post_init__(self) -> None:
-        if self.restart_mode not in ("luby", "ema", "switching", "none"):
-            raise ValueError(f"unknown restart mode {self.restart_mode!r}")
-        if self.decision_heuristic not in ("vsids", "vmtf"):
-            raise ValueError(
-                f"unknown decision heuristic {self.decision_heuristic!r}"
-            )
+        # A zero Luby unit restarts after every decision, before any
+        # conflict: the search never advances and budgets never trip.
+        if self.luby_base < 1:
+            raise ValueError(f"luby_base must be >= 1, got {self.luby_base}")
 
 
 @dataclass
@@ -96,19 +89,6 @@ class SolveResult:
     @property
     def is_unknown(self) -> bool:
         return self.status is Status.UNKNOWN
-
-
-class _NoRestarts:
-    """Restart policy stub that never restarts."""
-
-    def on_conflict(self, glue: int) -> None:
-        pass
-
-    def should_restart(self) -> bool:
-        return False
-
-    def on_restart(self) -> None:
-        pass
 
 
 class Solver:
@@ -140,22 +120,12 @@ class Solver:
         self.stats = SolverStatistics()
         metrics = registry if registry.enabled else None
         self.clause_db = ClauseArena(keep_glue=self.config.keep_glue)
-        self.clause_db.clause_decay = self.config.clause_decay
         self.trail = ArenaTrail(num_vars, self.clause_db)
         self.watches = ArenaWatchLists(num_vars, self.clause_db)
         self.propagator = ArenaPropagator(
             self.trail, self.watches, self.stats, metrics=metrics
         )
-        if self.config.decision_heuristic == "vmtf":
-            self.decider = VMTFDecider(
-                self.trail, initial_phase=self.config.initial_phase
-            )
-        else:
-            self.decider = Decider(
-                self.trail,
-                decay=self.config.var_decay,
-                initial_phase=self.config.initial_phase,
-            )
+        self.decider = Decider(self.trail)
         self.analyzer = ArenaConflictAnalyzer(
             self.trail, self.clause_db, self.stats, self.decider.bump
         )
@@ -172,21 +142,7 @@ class Solver:
             protect_used=self.config.protect_used,
             observer=self.observer,
         )
-        if self.config.restart_mode == "luby":
-            self.restarts = LubyRestarts(base=self.config.luby_base)
-        elif self.config.restart_mode == "ema":
-            self.restarts = EMARestarts()
-        elif self.config.restart_mode == "switching":
-            self.restarts = SwitchingRestarts(
-                luby_base=self.config.luby_base,
-                on_switch=self._on_mode_switch
-                if self.observer.tracing
-                else None,
-            )
-        else:
-            self.restarts = _NoRestarts()
-        self._rephase_limit = self.config.rephase_interval or 0
-        self._rephase_cycle = 0
+        self.restarts = LubyRestarts(base=self.config.luby_base)
 
         # True once the formula is known UNSAT regardless of assumptions.
         self._inconsistent = False
@@ -282,15 +238,6 @@ class Solver:
         self.watches.attach(solver_clause)
 
     # -- learned clause installation ------------------------------------------
-
-    def _on_mode_switch(self, switches: int, mode: str) -> None:
-        """Trace callback for :class:`SwitchingRestarts` mode changes."""
-        self.observer.event(
-            "mode-switch",
-            switches=switches,
-            mode=mode,
-            conflicts=self.stats.conflicts,
-        )
 
     def _install_learned(self, lits: List[int], glue: int) -> None:
         """Attach a learned clause and assert its first literal."""
@@ -399,7 +346,7 @@ class Solver:
                     self._mark_inconsistent()
                     return self._result(Status.UNSATISFIABLE)
                 learned, backjump, glue = self.analyzer.analyze(conflict)
-                self.restarts.on_conflict(glue)
+                self.restarts.on_conflict()
                 self._backtrack(backjump)
                 self._install_learned(learned, glue)
                 self.decider.decay_activities()
@@ -442,8 +389,6 @@ class Solver:
             self.trail.assign(decision, None)
             if len(self.trail.trail) > self.stats.max_trail:
                 self.stats.max_trail = len(self.trail.trail)
-                self.decider.snapshot_best_phases()
-            self._maybe_rephase()
 
     def _analyze_final(self, failed_lit: int, assumed: List[int]) -> List[int]:
         """Compute a failed-assumption core (MiniSat's ``analyzeFinal``).
@@ -477,22 +422,6 @@ class Solver:
             for other in self.trail.reason_literals(var):
                 seen[other >> 1] = True
         return core
-
-    def _maybe_rephase(self) -> None:
-        """Periodically reset saved phases (Kissat's rephasing)."""
-        if not self.config.rephase_interval:
-            return
-        if self.stats.conflicts < self._rephase_limit:
-            return
-        self._rephase_limit = self.stats.conflicts + self.config.rephase_interval
-        styles = ("best", "inverted", "best", "original")
-        style = styles[self._rephase_cycle % len(styles)]
-        self._rephase_cycle += 1
-        self.decider.rephase(style, initial_phase=self.config.initial_phase)
-        self.stats.rephases += 1
-        self.observer.event(
-            "rephase", style=style, conflicts=self.stats.conflicts
-        )
 
     def _next_assumption(self, assumed: List[int]) -> Optional[int]:
         """Next unsatisfied assumption literal; -1 when one is falsified."""
@@ -529,10 +458,10 @@ class Solver:
 
     def _sat_result(self) -> SolveResult:
         model = self.trail.model()
-        # Unconstrained variables default to the configured phase.
+        # Unconstrained variables default to true, the initial phase.
         for var in range(1, self.trail.num_vars + 1):
             if model[var] is None:
-                model[var] = self.config.initial_phase
+                model[var] = True
         assert self.cnf.check_model(model), "internal error: bogus model"
         return SolveResult(
             status=Status.SATISFIABLE,

@@ -29,7 +29,6 @@ class SolverStatistics:
     #: Number of ``propagate()`` invocations; ``propagations /
     #: bcp_rounds`` is the mean BCP batch size.
     bcp_rounds: int = 0
-    rephases: int = 0
 
     def mean_glue(self) -> float:
         """Average LBD of learned clauses so far (0 when none learned)."""

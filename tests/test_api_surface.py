@@ -7,94 +7,23 @@ documentation — the "doc comments on every public item" deliverable.
 
 import importlib
 import inspect
+import pkgutil
 
 import pytest
 
-PACKAGES = [
-    "repro",
-    "repro.cnf",
-    "repro.solver",
-    "repro.policies",
-    "repro.simplify",
-    "repro.nn",
-    "repro.graph",
-    "repro.models",
-    "repro.models.baselines",
-    "repro.parallel",
-    "repro.selection",
-    "repro.bench",
-    "repro.obs",
-    "repro.fuzz",
+import repro
+
+# Derived from the package tree, so adding or deleting a module needs no
+# edit here; ``repro.__main__`` is skipped because importing it runs the CLI.
+_WALKED = [
+    info
+    for info in pkgutil.walk_packages(repro.__path__, prefix="repro.")
+    if info.name != "repro.__main__"
 ]
 
-MODULES = PACKAGES + [
-    "repro.cli",
-    "repro.cnf.formula",
-    "repro.cnf.dimacs",
-    "repro.cnf.generators",
-    "repro.cnf.features",
-    "repro.cnf.structure",
-    "repro.cnf.transforms",
-    "repro.cnf.encodings",
-    "repro.solver.types",
-    "repro.solver.solver",
-    "repro.solver.arena",
-    "repro.solver.decide",
-    "repro.solver.vmtf",
-    "repro.solver.restart",
-    "repro.solver.reduce",
-    "repro.solver.proof",
-    "repro.solver.drat",
-    "repro.solver.walksat",
-    "repro.solver.reference",
-    "repro.policies.score",
-    "repro.policies.base",
-    "repro.parallel.cache",
-    "repro.parallel.journal",
-    "repro.parallel.progress",
-    "repro.parallel.runner",
-    "repro.parallel.supervisor",
-    "repro.simplify.passes",
-    "repro.simplify.elimination",
-    "repro.simplify.equivalence",
-    "repro.simplify.vivify",
-    "repro.simplify.blocked",
-    "repro.simplify.xor_gauss",
-    "repro.simplify.pipeline",
-    "repro.nn.tensor",
-    "repro.nn.layers",
-    "repro.nn.optim",
-    "repro.nn.loss",
-    "repro.nn.schedulers",
-    "repro.nn.serialization",
-    "repro.graph.bipartite",
-    "repro.graph.lcg",
-    "repro.graph.batching",
-    "repro.models.mpnn",
-    "repro.models.linear_attention",
-    "repro.models.hgt",
-    "repro.models.neuroselect",
-    "repro.selection.labeling",
-    "repro.selection.dataset",
-    "repro.selection.trainer",
-    "repro.selection.metrics",
-    "repro.selection.selector",
-    "repro.selection.validation",
-    "repro.selection.storage",
-    "repro.bench.calibration",
-    "repro.bench.runner",
-    "repro.bench.tables",
-    "repro.bench.experiments",
-    "repro.bench.reporting",
-    "repro.obs.metrics",
-    "repro.obs.trace",
-    "repro.obs.observer",
-    "repro.obs.manifest",
-    "repro.obs.report",
-    "repro.fuzz.oracles",
-    "repro.fuzz.campaign",
-    "repro.fuzz.shrink",
-]
+PACKAGES = ["repro"] + sorted(info.name for info in _WALKED if info.ispkg)
+
+MODULES = ["repro"] + sorted(info.name for info in _WALKED)
 
 
 @pytest.mark.parametrize("package_name", PACKAGES)
@@ -130,6 +59,4 @@ def test_public_classes_and_functions_documented(module_name):
 
 
 def test_version_string():
-    import repro
-
     assert repro.__version__.count(".") == 2

@@ -13,7 +13,7 @@ from repro.selection import (
     YearStatistics,
 )
 from repro.simplify import Preprocessor, PreprocessResult, PreprocessStats
-from repro.solver import Solver, Status, WalkSAT, WalkSATResult
+from repro.solver import Solver, Status
 from repro.models import READOUTS, DirectedMessagePass
 
 
@@ -37,12 +37,6 @@ def test_preprocess_result_types():
     result = Preprocessor().preprocess(CNF([[1, 2], [1]]))
     assert isinstance(result, PreprocessResult)
     assert isinstance(result.stats, PreprocessStats)
-
-
-def test_walksat_result_type():
-    result = WalkSAT(CNF([[1, 2]])).solve(max_flips=50)
-    assert isinstance(result, WalkSATResult)
-    assert result.satisfied
 
 
 def test_conflict_analyzer_is_solver_component():

@@ -575,10 +575,10 @@ class TestDisabledOverhead:
         solver = Solver(cnf)
         calls = _profile_obs_calls(solver.solve)
         assert not FORBIDDEN_OBS_CALLS.intersection(calls)
-        # Coarse no-op guards scale with restarts/reductions/rephases,
-        # never with propagations.
+        # Coarse no-op guards scale with restarts/reductions, never
+        # with propagations.
         stats = solver.stats
-        ceiling = 8 + stats.restarts + stats.rephases + 4 * stats.reductions
+        ceiling = 8 + stats.restarts + 4 * stats.reductions
         assert len(calls) <= ceiling, calls
 
     def test_disabled_simplify_skips_all_instruments(self, simple_sat_cnf):

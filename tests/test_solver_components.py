@@ -11,7 +11,7 @@ from repro.solver.arena import (
 )
 from repro.solver.decide import Decider
 from repro.solver.reduce import ReduceScheduler
-from repro.solver.restart import EMARestarts, LubyRestarts, luby
+from repro.solver.restart import LubyRestarts, luby
 from repro.solver.statistics import SolverStatistics
 from repro.solver.types import encode
 
@@ -37,9 +37,9 @@ class TestLubyRestarts:
     def test_restart_after_base_conflicts(self):
         policy = LubyRestarts(base=3)
         for _ in range(2):
-            policy.on_conflict(glue=2)
+            policy.on_conflict()
         assert not policy.should_restart()
-        policy.on_conflict(glue=2)
+        policy.on_conflict()
         assert policy.should_restart()
         policy.on_restart()
         assert not policy.should_restart()
@@ -51,25 +51,6 @@ class TestLubyRestarts:
             policy.on_restart()
             limits.append(policy._limit)
         assert limits == [10, 10, 20, 10, 10]
-
-
-class TestEMARestarts:
-    def test_requires_minimum_conflicts(self):
-        policy = EMARestarts(min_conflicts=5)
-        for _ in range(4):
-            policy.on_conflict(glue=50)
-        assert not policy.should_restart()
-
-    def test_triggers_on_glue_spike(self):
-        policy = EMARestarts(min_conflicts=10)
-        for _ in range(200):
-            policy.on_conflict(glue=3)
-        assert not policy.should_restart()
-        for _ in range(30):
-            policy.on_conflict(glue=30)
-        assert policy.should_restart()
-        policy.on_restart()
-        assert not policy.should_restart()
 
 
 class TestDecider:
@@ -106,10 +87,10 @@ class TestDecider:
 
     def test_phase_saving_controls_polarity(self):
         trail = make_trail(1)
-        decider = Decider(trail, initial_phase=True)
+        decider = Decider(trail)
         assert decider.pick_branch_literal() == encode(1)
         decider.requeue(1)
-        decider.save_phase(1, False)
+        decider.saved_phase[1] = False
         assert decider.pick_branch_literal() == encode(-1)
 
     def test_rescale_preserves_order(self):
@@ -124,10 +105,10 @@ class TestDecider:
 
     def test_decay_grows_increment(self):
         trail = make_trail(1)
-        decider = Decider(trail, decay=0.5)
+        decider = Decider(trail)
         before = decider.var_inc
         decider.decay_activities()
-        assert decider.var_inc == pytest.approx(before * 2)
+        assert decider.var_inc == pytest.approx(before / 0.95)
 
 
 class TestClauseDatabase:

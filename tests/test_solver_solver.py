@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cnf import CNF, parity_chain, pigeonhole, random_ksat
-from repro.policies import DefaultPolicy, FrequencyPolicy
+from repro.policies import DefaultPolicy, FrequencyPolicy, get_policy
 from repro.solver import (
     ProofLog,
     Solver,
@@ -13,6 +13,32 @@ from repro.solver import (
     dpll_solve,
     solve,
 )
+
+_REDUCE_STRESS = SolverConfig(reduce_interval=50, reduce_interval_growth=20)
+
+PINNED_INSTANCES = {
+    "ksat120-s2": (lambda: random_ksat(120, 510, seed=2), None),
+    "ksat150-s1": (lambda: random_ksat(150, 640, seed=1), None),
+    "php7": (lambda: pigeonhole(7), None),
+    "ksat120-s2-stress": (lambda: random_ksat(120, 510, seed=2), _REDUCE_STRESS),
+    "php7-stress": (lambda: pigeonhole(7), _REDUCE_STRESS),
+}
+
+#: (status, conflicts, propagations, decisions, restarts, reductions) at a
+#: 1500-conflict cap.  Recorded while the solver still carried its unused
+#: alternative deciders and restart modes; cutting them left these equal.
+PINNED_SEARCH = {
+    ("ksat120-s2", "default"): ("UNSATISFIABLE", 932, 30385, 1084, 6, 2),
+    ("ksat120-s2", "frequency"): ("UNSATISFIABLE", 932, 30385, 1084, 6, 2),
+    ("ksat150-s1", "default"): ("SATISFIABLE", 1302, 51492, 1610, 8, 3),
+    ("ksat150-s1", "frequency"): ("SATISFIABLE", 1302, 51492, 1610, 8, 3),
+    ("php7", "default"): ("UNKNOWN", 1500, 23104, 1916, 9, 3),
+    ("php7", "frequency"): ("UNKNOWN", 1500, 23104, 1916, 9, 3),
+    ("ksat120-s2-stress", "default"): ("UNSATISFIABLE", 899, 29901, 1058, 6, 7),
+    ("ksat120-s2-stress", "frequency"): ("UNSATISFIABLE", 1007, 32764, 1197, 6, 8),
+    ("php7-stress", "default"): ("UNKNOWN", 1500, 25096, 1952, 9, 10),
+    ("php7-stress", "frequency"): ("UNKNOWN", 1500, 23942, 1955, 9, 10),
+}
 
 
 class TestBasicSolving:
@@ -50,8 +76,8 @@ class TestBasicSolving:
 
     def test_unused_variables_get_default_phase(self):
         cnf = CNF([[1]], num_vars=5)
-        result = Solver(cnf, config=SolverConfig(initial_phase=False)).solve()
-        assert result.model[5] is False
+        result = Solver(cnf).solve()
+        assert result.model[5] is True
 
     def test_solve_helper(self, simple_sat_cnf):
         assert solve(simple_sat_cnf).status is Status.SATISFIABLE
@@ -103,6 +129,31 @@ class TestHarderInstances:
         assert r1.status is r2.status
         assert r1.stats.propagations == r2.stats.propagations
         assert r1.stats.conflicts == r2.stats.conflicts
+
+    @pytest.mark.parametrize(
+        "instance, policy", sorted(PINNED_SEARCH), ids=lambda v: str(v)
+    )
+    def test_default_search_path_is_pinned(self, instance, policy):
+        """Exact effort counters of the one search path, frozen.
+
+        Any change to decisions, propagation order, restarts or
+        reduction shows up here; a deliberate change must re-record
+        the table (and say why).
+        """
+        make_cnf, config = PINNED_INSTANCES[instance]
+        result = Solver(
+            make_cnf(), policy=get_policy(policy), config=config
+        ).solve(max_conflicts=1500)
+        stats = result.stats
+        observed = (
+            result.status.name,
+            stats.conflicts,
+            stats.propagations,
+            stats.decisions,
+            stats.restarts,
+            stats.reductions,
+        )
+        assert observed == PINNED_SEARCH[instance, policy]
 
 
 class TestBudgets:
@@ -205,15 +256,12 @@ class TestStatistics:
 
 
 class TestConfig:
-    def test_invalid_restart_mode_rejected(self):
-        with pytest.raises(ValueError):
-            SolverConfig(restart_mode="bogus")
-
-    @pytest.mark.parametrize("mode", ["luby", "ema", "none"])
-    def test_all_restart_modes_solve(self, mode, medium_sat_cnf):
-        config = SolverConfig(restart_mode=mode)
-        result = Solver(medium_sat_cnf, config=config).solve()
-        assert result.status is Status.SATISFIABLE
+    def test_invalid_luby_base_rejected(self):
+        # A zero unit restarted after every decision and never reached
+        # a conflict, so even a conflict budget could not stop it.
+        for base in (0, -1):
+            with pytest.raises(ValueError, match="luby_base"):
+                SolverConfig(luby_base=base)
 
     def test_policy_name_propagates_to_result(self, simple_sat_cnf):
         result = Solver(simple_sat_cnf, policy=FrequencyPolicy()).solve()
