@@ -7,16 +7,21 @@ incidence graph** (VIG — variables as nodes, one edge per clause pair
 co-occurrence), built on ``networkx``.  They complement the flat counts
 in :mod:`repro.cnf.features` and drive tests that the community
 generator really produces modular formulas.
+
+``networkx`` is the optional ``structure`` extra (``pip install
+repro[structure]``).  It is imported inside the functions that need it,
+so importing :mod:`repro` neither requires it nor pays its import time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List
 
 from repro.cnf.formula import CNF
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def variable_incidence_graph(cnf: CNF, max_clause_size: int = 10) -> "nx.Graph":
@@ -27,6 +32,8 @@ def variable_incidence_graph(cnf: CNF, max_clause_size: int = 10) -> "nx.Graph":
     Clauses longer than ``max_clause_size`` are skipped (standard VIG
     practice; their pairwise expansion is quadratic and uninformative).
     """
+    import networkx as nx
+
     graph = nx.Graph()
     graph.add_nodes_from(range(1, cnf.num_vars + 1))
     for clause in cnf.clauses:
@@ -75,6 +82,8 @@ class StructuralFeatures:
 
 def structural_features(cnf: CNF, max_clause_size: int = 10) -> StructuralFeatures:
     """Compute :class:`StructuralFeatures` (total on degenerate inputs)."""
+    import networkx as nx
+
     graph = variable_incidence_graph(cnf, max_clause_size=max_clause_size)
     n = graph.number_of_nodes()
     m = graph.number_of_edges()
@@ -125,6 +134,8 @@ def structural_features(cnf: CNF, max_clause_size: int = 10) -> StructuralFeatur
 
 def community_labels(cnf: CNF, max_clause_size: int = 10) -> List[int]:
     """Greedy-modularity community id per variable (index 0 unused)."""
+    import networkx as nx
+
     graph = variable_incidence_graph(cnf, max_clause_size=max_clause_size)
     labels = [0] * (cnf.num_vars + 1)
     if graph.number_of_edges() == 0:

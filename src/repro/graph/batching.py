@@ -6,8 +6,9 @@ whose node indices are offset per member, plus ``var_graph_index`` /
 ``clause_graph_index`` arrays recording which member each node belongs
 to.  Message passing runs unchanged on the union (edges never cross
 members); readout and — less obviously — *linear attention* must respect
-member boundaries, which the segment indices make possible (see the
-segmented path of :class:`repro.models.linear_attention.LinearAttention`).
+member boundaries, which the segment indices make possible.  Each
+member's nodes occupy one contiguous row range, in member order, which
+:class:`repro.models.linear_attention.LinearAttention` relies on.
 """
 
 from __future__ import annotations

@@ -19,16 +19,18 @@ from typing import Optional
 import numpy as np
 
 from repro.nn.layers import Linear, Module
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, concat_rows
 
 
 class LinearAttention(Module):
     """The linear global-attention unit applied to variable-node features.
 
     ``forward`` runs attention over *all* rows as one graph.  For a
-    disjoint batch of graphs, pass ``segments``/``counts``: attention is
-    then computed independently within each segment (graphs must never
-    attend to each other), still without materializing any N x N matrix.
+    disjoint batch of graphs, pass ``segments``/``counts``: each member's
+    rows must be contiguous and in member order (as
+    :class:`~repro.graph.batching.BatchedBipartiteGraph` lays them out).
+    Q/K/V are then computed once over all rows and Eq. (8)-(9) runs on
+    each member's row range, so graphs never attend to each other.
     """
 
     def __init__(self, dim: int, rng: Optional[np.random.Generator] = None):
@@ -44,15 +46,20 @@ class LinearAttention(Module):
         segments: Optional[np.ndarray] = None,
         counts: Optional[np.ndarray] = None,
     ) -> Tensor:
-        if segments is not None:
-            if counts is None:
-                raise ValueError("segmented attention needs per-segment counts")
-            return self._forward_segmented(z, segments, counts)
-        n = float(z.shape[0])
         q = self.f_q(z)
         k = self.f_k(z)
         v = self.f_v(z)
+        if segments is None:
+            return self._attend(q, k, v)
+        bounds = _member_bounds(segments, counts, z.shape[0])
+        return concat_rows([
+            self._attend(q[start:stop], k[start:stop], v[start:stop])
+            for start, stop in zip(bounds[:-1], bounds[1:])
+        ])
 
+    def _attend(self, q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+        """Eq. (8)-(9) over the rows of one graph."""
+        n = float(max(q.shape[0], 1))  # an empty graph has no rows to scale
         q_norm = ((q * q).sum() + self.eps).sqrt()
         k_norm = ((k * k).sum() + self.eps).sqrt()
         q_tilde = q / q_norm
@@ -68,44 +75,23 @@ class LinearAttention(Module):
         numerator = v + (q_tilde @ kt_v) * (1.0 / n)
         return numerator / d_vec  # row-wise D⁻¹
 
-    def _forward_segmented(
-        self, z: Tensor, segments: np.ndarray, counts: np.ndarray
-    ) -> Tensor:
-        """Eq. (8)-(9) independently per segment, fully vectorized.
 
-        All per-segment reductions (Frobenius norms, K̃ᵀ1, K̃ᵀV) become
-        scatter-sums over the segment index followed by gathers back to
-        the rows, so the cost stays linear in the total node count.
-        """
-        num_segments = len(counts)
-        dim = z.shape[1]
-        n_per_row = Tensor(counts[segments][:, None])  # (N, 1)
-
-        q = self.f_q(z)
-        k = self.f_k(z)
-        v = self.f_v(z)
-
-        # Per-segment Frobenius norms, gathered back per row.
-        q_norm = (
-            ((q * q).scatter_sum(segments, num_segments).sum(axis=1, keepdims=True)
-             + self.eps).sqrt()
-        ).gather_rows(segments)
-        k_norm = (
-            ((k * k).scatter_sum(segments, num_segments).sum(axis=1, keepdims=True)
-             + self.eps).sqrt()
-        ).gather_rows(segments)
-        q_tilde = q / q_norm
-        k_tilde = k / k_norm
-
-        # K̃ᵀ1 per segment -> per row: (N, d).
-        kt_one = k_tilde.scatter_sum(segments, num_segments).gather_rows(segments)
-        d_vec = (q_tilde * kt_one).sum(axis=1, keepdims=True) / n_per_row + 1.0
-
-        # K̃ᵀV per segment: sum of per-row outer products k̃_i v_iᵀ.
-        outer = k_tilde.reshape(-1, dim, 1) * v.reshape(-1, 1, dim)  # (N, d, d)
-        kt_v = outer.scatter_sum(segments, num_segments).gather_rows(segments)
-        # q̃_i · K̃ᵀV[segment(i)] -> (N, d).
-        attended = (q_tilde.reshape(-1, dim, 1) * kt_v).sum(axis=1)
-
-        numerator = v + attended / n_per_row
-        return numerator / d_vec
+def _member_bounds(
+    segments: np.ndarray, counts: Optional[np.ndarray], num_rows: int
+) -> np.ndarray:
+    """Row offsets ``[0, c0, c0+c1, ...]`` of the members, after checking
+    that ``segments`` lists each member's rows contiguously, in order, and
+    ``counts`` times over."""
+    if counts is None:
+        raise ValueError("segmented attention needs per-segment counts")
+    sizes = np.asarray(counts)
+    if sizes.ndim != 1 or np.any(sizes < 0) or np.any(sizes != np.round(sizes)):
+        raise ValueError("segment counts must be a 1-D array of non-negative integers")
+    sizes = sizes.astype(np.int64)
+    expected = np.repeat(np.arange(len(sizes)), sizes)
+    if len(expected) != num_rows or not np.array_equal(segments, expected):
+        raise ValueError(
+            "segments must list each member's rows contiguously and in order, "
+            "matching counts and the number of rows"
+        )
+    return np.concatenate([[0], np.cumsum(sizes)])

@@ -5,7 +5,7 @@ The offline stand-in for PyTorch: reverse-mode autodiff
 exactly the operator set the paper's models require, at float64.
 """
 
-from repro.nn.tensor import Tensor, tensor, zeros, ones
+from repro.nn.tensor import Tensor, concat_rows, tensor, zeros, ones
 from repro.nn.layers import (
     Module,
     Linear,
@@ -30,6 +30,7 @@ from repro.nn.schedulers import (
 
 __all__ = [
     "Tensor",
+    "concat_rows",
     "tensor",
     "zeros",
     "ones",

@@ -91,6 +91,40 @@ class TestSegmentedLinearAttention:
         with pytest.raises(ValueError):
             attn(Tensor(RNG.normal(size=(3, 4))), segments=np.zeros(3, dtype=np.int64))
 
+    @pytest.mark.parametrize(
+        "segments, counts",
+        [
+            ([1, 1, 1, 0, 0, 0, 0], [3.0, 4.0]),  # members out of order
+            ([0, 0, 1, 1, 0, 1, 1], [3.0, 4.0]),  # member 0 not contiguous
+            ([0, 0, 0, 1, 1, 1, 1], [4.0, 3.0]),  # counts disagree with segments
+            ([0, 0, 0, 1, 1, 1, 1], [3.0, 3.0]),  # counts miss a row
+            ([0, 0, 0, 1, 1, 1], [3.0, 3.0]),  # segments miss a row
+            ([0, 0, 0, 1, 1, 1, 1], [3.0, 4.0, 1.0]),  # count for a member with no rows
+            ([0, 0, 0, 1, 1, 1, 1], [3.5, 3.5]),  # fractional counts
+        ],
+    )
+    def test_non_contiguous_or_mismatched_segments_rejected(self, segments, counts):
+        """Per-member attention reads each member as one contiguous row range."""
+        attn = LinearAttention(dim=4)
+        with pytest.raises(ValueError):
+            attn(
+                Tensor(RNG.normal(size=(7, 4))),
+                segments=np.array(segments),
+                counts=np.array(counts),
+            )
+
+    def test_empty_member_leaves_others_unchanged(self):
+        attn = LinearAttention(dim=4, rng=np.random.default_rng(5))
+        z1 = RNG.normal(size=(3, 4))
+        z2 = RNG.normal(size=(2, 4))
+        out = attn(
+            Tensor(np.vstack([z1, z2])),
+            segments=np.array([0, 0, 0, 2, 2]),
+            counts=np.array([3.0, 0.0, 2.0]),
+        ).data
+        np.testing.assert_allclose(out[:3], attn(Tensor(z1)).data, atol=1e-12)
+        np.testing.assert_allclose(out[3:], attn(Tensor(z2)).data, atol=1e-12)
+
     def test_gradients_flow_through_segmented_path(self):
         attn = LinearAttention(dim=4, rng=np.random.default_rng(0))
         z = Tensor(RNG.normal(size=(7, 4)), requires_grad=True)

@@ -1,0 +1,80 @@
+"""Frozen-reference logits for the HGT forward pass.
+
+``tests/data/hgt_reference_logits.json`` holds the logits of a seeded
+``NeuroSelect(hidden_dim=32, seed=0)`` on seeded graphs of the three
+served formula families (threshold random 3-SAT, flat 3-colouring,
+renamed pigeonhole), for one graph at a time, a batch of 4 and a batch
+of 16.  The batched-vs-single equality tests in ``test_batching.py``
+compare two paths of the same code; this file pins both to numbers
+recorded before the forward pass was last optimised, so a change that
+moves the batched and single-graph paths together still fails here.
+
+Regenerate (only after an intended change to the model's numbers) with
+``PYTHONPATH=src python tests/test_hgt_reference.py``.
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.cnf import graph_coloring, pigeonhole, random_ksat, rename_variables
+from repro.graph import BipartiteGraph, batch_graphs
+from repro.models import NeuroSelect
+
+REFERENCE = Path(__file__).parent / "data" / "hgt_reference_logits.json"
+
+FAMILIES = (
+    lambda seed: random_ksat(80, 341, seed=seed),
+    lambda seed: graph_coloring(60, 3, 2.3, seed=seed, mode="flat"),
+    lambda seed: rename_variables(pigeonhole(5), seed=seed),
+)
+
+
+def member_graphs(count: int, seed: int):
+    """``count`` graphs cycling through the three families."""
+    return [
+        BipartiteGraph(FAMILIES[i % len(FAMILIES)](seed + i)) for i in range(count)
+    ]
+
+
+#: name -> graphs; "single" members are run one forward pass each.
+CASES = {
+    "single": lambda: member_graphs(3, seed=100),
+    "batch4": lambda: member_graphs(4, seed=200),
+    "batch16": lambda: member_graphs(16, seed=300),
+}
+
+
+def compute_logits(name: str):
+    model = NeuroSelect(hidden_dim=32, seed=0)
+    graphs = CASES[name]()
+    if name == "single":
+        return [float(model.forward(g).data.ravel()[0]) for g in graphs]
+    return [float(x) for x in model.forward_batch(batch_graphs(graphs)).data.ravel()]
+
+
+@pytest.fixture(scope="module")
+def reference():
+    return json.loads(REFERENCE.read_text())
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_logits_match_frozen_reference(reference, name):
+    np.testing.assert_allclose(
+        compute_logits(name), reference[name], rtol=0, atol=1e-12
+    )
+
+
+def test_reference_covers_every_case(reference):
+    assert sorted(reference) == sorted(CASES)
+    assert [len(reference[k]) for k in ("single", "batch4", "batch16")] == [3, 4, 16]
+
+
+if __name__ == "__main__":
+    REFERENCE.write_text(
+        json.dumps({name: compute_logits(name) for name in sorted(CASES)}, indent=1)
+        + "\n"
+    )
+    print(f"wrote {REFERENCE}")

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.nn import Tensor, ones, tensor, zeros
+from repro.nn import Tensor, concat_rows, ones, tensor, zeros
+from repro.nn.tensor import segment_sum
 
 
 def numeric_grad(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -103,6 +104,24 @@ class TestReductionsAndShape:
     def test_getitem(self):
         check_gradient(lambda t: (t[1] ** 2).sum(), RNG.normal(size=(3, 4)))
 
+    def test_getitem_slices_accumulate(self):
+        """Overlapping row slices each add their share to the gradient."""
+        check_gradient(
+            lambda t: (t[0:3] ** 2).sum() + (t[2:5] * t[1:4]).sum() + t[4, 1:].sum(),
+            RNG.normal(size=(5, 3)),
+        )
+
+    def test_getitem_fancy_index_repeats_accumulate(self):
+        check_gradient(
+            lambda t: (t[np.array([0, 2, 0])] ** 2).sum(), RNG.normal(size=(3, 2))
+        )
+
+    def test_getitem_gradient_adds_to_existing_grad(self):
+        t = Tensor(np.zeros((3, 2)), requires_grad=True)
+        (t * 2.0).sum().backward()
+        t[1:].sum().backward()
+        np.testing.assert_allclose(t.grad, [[2, 2], [3, 3], [3, 3]])
+
 
 class TestNonlinearities:
     def test_relu(self):
@@ -140,6 +159,33 @@ class TestGraphPrimitives:
         data = RNG.normal(size=(5, 2))
         seg = np.array([0, 1, 1, 0, 2])
         check_gradient(lambda t: (t.scatter_sum(seg, 3) ** 2).sum(), data)
+
+    def test_gather_rows_gradient(self):
+        idx = np.array([3, 0, 3, 3, 1])
+        check_gradient(
+            lambda t: (t.gather_rows(idx) ** 2).sum(), RNG.normal(size=(4, 3))
+        )
+
+    def test_concat_rows_forward(self):
+        a = Tensor(np.ones((2, 3)))
+        b = Tensor(np.zeros((1, 3)))
+        np.testing.assert_array_equal(
+            concat_rows([a, b, a]).data, np.vstack([a.data, b.data, a.data])
+        )
+
+    def test_concat_rows_gradient(self):
+        """A part used twice, an empty part, and a constant part."""
+        const = Tensor(RNG.normal(size=(2, 3)))
+
+        def build(t):
+            parts = [t[:2], const, t[2:2], t, t[1:3]]
+            return (concat_rows(parts) ** 2 * np.arange(1.0, 10.0)[:, None]).sum()
+
+        check_gradient(build, RNG.normal(size=(3, 3)))
+
+    def test_concat_rows_without_grad_records_nothing(self):
+        out = concat_rows([Tensor(np.ones((1, 2))), Tensor(np.ones((2, 2)))])
+        assert not out.requires_grad and out._backward is None
 
     def test_gather_then_scatter_gradient(self):
         data = RNG.normal(size=(4, 3))
@@ -213,3 +259,59 @@ def test_property_matmul_chain_shapes(n, m):
     ((a @ b) ** 2).sum().backward()
     assert a.grad.shape == (n, m)
     assert b.grad.shape == (m, n)
+
+
+def _add_at_reference(values, index, num_segments):
+    out = np.zeros((num_segments,) + values.shape[1:])
+    np.add.at(out, index, values)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=30),
+    st.integers(min_value=1, max_value=8),
+    st.sampled_from([(), (3,), (2, 2)]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_property_segment_sum_is_add_at_bit_for_bit(rows, num_segments, tail, seed):
+    """Same values, same summation order: bit-identical to ``np.add.at``.
+
+    Covers an empty index, repeated indices (few segments, many rows),
+    segments no row maps to, and rows of shape (), (d,) and (d, d).
+    """
+    rng = np.random.default_rng(seed)
+    # Mixed magnitudes make the result depend on summation order.
+    values = rng.normal(size=(rows,) + tail) * 10.0 ** rng.integers(-8, 8, (rows,) + tail)
+    index = rng.integers(0, num_segments, size=rows)
+    got = segment_sum(values, index, num_segments)
+    expected = _add_at_reference(values, index, num_segments)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+    via_tensor = Tensor(values).scatter_sum(index, num_segments).data
+    assert via_tensor.tobytes() == expected.tobytes()
+
+
+def test_segment_sum_edge_cases_bit_for_bit():
+    values = np.array([[1.0, 1.0], [1e16, -0.0], [-1e16, 2.5]])
+    for index, segments in (
+        (np.array([0, 0, 0]), 1),  # one segment, order-sensitive sum
+        (np.array([2, 2, 2]), 4),  # unused segments stay zero
+        (np.array([1, 0, 1]), 2),
+    ):
+        assert (
+            segment_sum(values, index, segments).tobytes()
+            == _add_at_reference(values, index, segments).tobytes()
+        )
+    empty = segment_sum(np.zeros((0, 2, 2)), np.zeros(0, dtype=np.int64), 3)
+    np.testing.assert_array_equal(empty, np.zeros((3, 2, 2)))
+
+
+def test_gather_rows_backward_is_add_at_bit_for_bit():
+    rng = np.random.default_rng(7)
+    data = rng.normal(size=(6, 4))
+    index = rng.integers(0, 6, size=40)
+    upstream = rng.normal(size=(40, 4)) * 10.0 ** rng.integers(-8, 8, (40, 4))
+    t = Tensor(data, requires_grad=True)
+    t.gather_rows(index).backward(upstream)
+    assert t.grad.tobytes() == _add_at_reference(upstream, index, 6).tobytes()
