@@ -2,10 +2,18 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-bcp bench-bcp-smoke report trace-report quick-bench fuzz-smoke serve-smoke session-smoke chaos-smoke store-smoke trend-check examples clean
+.PHONY: install kernel test bench bench-bcp bench-bcp-smoke report trace-report quick-bench fuzz-smoke serve-smoke session-smoke chaos-smoke store-smoke trend-check examples clean
 
 install:
 	$(PYTHON) setup.py develop
+
+# Build the compiled CDCL conflict loop (needs cffi and a C compiler)
+# into src/repro/solver/_build/; the first Solver builds it otherwise.
+# Prints the engine new solvers will use, and fails on the fallback.
+kernel:
+	PYTHONPATH=src $(PYTHON) -c "from repro.solver import kernel; \
+		engine, why = kernel.engine_info(); print(engine, why); \
+		raise SystemExit(engine != 'c')"
 
 test:
 	$(PYTHON) -m pytest tests/
@@ -101,5 +109,6 @@ examples:
 	done
 
 clean:
-	rm -rf build dist src/repro.egg-info .pytest_cache .benchmarks
+	rm -rf build dist src/repro.egg-info .pytest_cache .benchmarks \
+		src/repro/solver/_build
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -3,8 +3,10 @@
 A :class:`RunManifest` captures everything needed to re-run (or audit)
 a labelling sweep, benchmark suite, or training job: the command and
 argv, the effective configuration, seeds, the selected policy, the
-source revision (``git describe``), and the execution environment
-(Python, platform, CPU count, ``REPRO_*`` variables).  It is written as
+source revision (``git describe``), the execution environment
+(Python, platform, CPU count, ``REPRO_*`` variables), and the solver
+engine the run's solves use (the compiled conflict loop ``"c"``, or
+``"python"`` with the reason it is unavailable).  It is written as
 ``<command>-<run_id>-p<pid>.manifest.json`` next to the trace file
 *and* embedded in the trace's ``run-start`` event, so a single
 ``.jsonl`` file is a complete, self-describing run record.
@@ -70,6 +72,8 @@ class RunManifest:
     env: Dict[str, str] = field(default_factory=dict)
     created_unix: float = 0.0
     trace_format_version: int = TRACE_FORMAT_VERSION
+    solver_engine: str = ""
+    solver_engine_reason: str = ""
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-able form (field order is stable for diffing)."""
@@ -87,6 +91,8 @@ class RunManifest:
             "env": dict(self.env),
             "created_unix": self.created_unix,
             "trace_format_version": self.trace_format_version,
+            "solver_engine": self.solver_engine,
+            "solver_engine_reason": self.solver_engine_reason,
         }
 
     def write(self, path: Union[str, Path]) -> None:
@@ -106,6 +112,9 @@ def collect_manifest(
     policy: str = "",
 ) -> RunManifest:
     """Assemble a :class:`RunManifest` from the current process state."""
+    from repro.solver import kernel  # deferred: the solver imports repro.obs
+
+    engine, engine_reason = kernel.engine_info()
     return RunManifest(
         run_id=run_id,
         command=command,
@@ -123,6 +132,8 @@ def collect_manifest(
             if key.startswith("REPRO_")
         },
         created_unix=time.time(),
+        solver_engine=engine,
+        solver_engine_reason=engine_reason,
     )
 
 

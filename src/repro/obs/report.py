@@ -101,6 +101,7 @@ def summarize_traces(
                 run_info["command"] = record.get("command", "")
                 run_info["git"] = manifest.get("git", "")
                 run_info["policy"] = manifest.get("policy", "")
+                run_info["solver_engine"] = manifest.get("solver_engine", "")
             elif kind == "run-end":
                 run_phases = record.get("phases", {}) or {}
                 metrics = record.get("metrics")
@@ -317,6 +318,8 @@ def render_report(summary: Dict[str, Any]) -> str:
             bits.append(f"command={run['command']}")
         if run.get("git"):
             bits.append(f"git={run['git']}")
+        if run.get("solver_engine"):
+            bits.append(f"engine={run['solver_engine']}")
         out.append(f"  run {'  '.join(bits)}")
 
     if summary["errors"]:

@@ -44,7 +44,9 @@ JSON bodies.  Endpoints:
     Session snapshot / explicit close.
 
 ``GET /healthz``
-    Service counters: queue depth, totals, inference passes, sessions.
+    Service counters: queue depth, totals, inference passes, sessions,
+    and the solver engine (``solver_engine``: ``"c"`` or ``"python"``,
+    with ``solver_engine_reason`` when the compiled loop is unavailable).
 
 ``GET /metrics``
     Prometheus text exposition format (version 0.0.4): the metrics

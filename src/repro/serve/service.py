@@ -67,6 +67,7 @@ from repro.serve.resilience import (
     clamp_conflicts_to_deadline,
 )
 from repro.serve.sessions import SessionManager
+from repro.solver import kernel
 from repro.solver.types import Status
 
 
@@ -577,7 +578,9 @@ class SolveService:
     # -- introspection -----------------------------------------------------
 
     def stats(self) -> Dict[str, object]:
-        """Point-in-time service counters (the ``/healthz`` payload)."""
+        """Point-in-time service counters (the ``/healthz`` payload),
+        plus which solver engine runs (``"c"`` or ``"python"``) and why."""
+        engine, engine_reason = kernel.engine_info()
         stats: Dict[str, object] = {
             "accepting": self.accepting,
             "queue_depth": self.active,
@@ -592,6 +595,8 @@ class SolveService:
             "inference_served": self.batcher.served,
             "inference_failures": self.batcher.failures,
             "sessions": self.sessions.stats(),
+            "solver_engine": engine,
+            "solver_engine_reason": engine_reason,
         }
         if self.breaker is not None:
             stats["breaker"] = self.breaker.stats()

@@ -6,7 +6,9 @@ propagation with per-variable propagation-frequency counters, 1-UIP
 learning with minimization and glue computation, VSIDS decisions with
 phase saving, Luby restarts, Kissat-style tiered clause reduction
 driven by a pluggable :class:`~repro.policies.base.DeletionPolicy`, and
-DRAT proof logging.
+DRAT proof logging.  The inner loop is compiled to C when cffi and a
+compiler are present (:mod:`repro.solver.kernel`), with identical
+search.
 """
 
 from repro.solver.types import Status, Model, encode, decode, negate, variable_of

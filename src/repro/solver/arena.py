@@ -7,8 +7,9 @@ arena clause store:
   of ints as ``[id, size, lit0 .. litN]`` blocks.  A clause is addressed
   by the *offset* of its first literal, so ``data[off-1]`` is its length
   and ``data[off-2]`` its id.  Every value fits an int32 (asserted by
-  :meth:`ClauseArena.as_int32`), which is what later numpy-vectorized or
-  compiled BCP needs; in pure CPython a plain ``list`` outperforms
+  :meth:`ClauseArena.as_int32`), which is what lets the compiled
+  conflict loop (:mod:`repro.solver.kernel`) hold the same words in C
+  ``int`` buffers; in pure CPython a plain ``list`` outperforms
   ``array('i')`` because the latter re-boxes every element on read.
 * **Clause ids** — per-clause metadata (glue, activity, used, garbage,
   frequency, learned) lives in parallel arrays indexed by a *stable*
@@ -284,9 +285,9 @@ class ClauseArena:
         """The arena as a numpy int32 array (copy).
 
         Verifies the int32 discipline the flat layout is designed
-        around: every header word and literal fits in 32 bits, so a
-        future vectorized or compiled BCP kernel can alias this buffer
-        directly.
+        around: every header word and literal fits in 32 bits, which is
+        what the compiled conflict loop (:mod:`repro.solver.kernel`)
+        stores the arena as.
         """
         import numpy as np
 

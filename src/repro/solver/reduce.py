@@ -78,6 +78,11 @@ class ReduceScheduler:
     def should_reduce(self) -> bool:
         return self.stats.conflicts >= self._limit
 
+    @property
+    def limit(self) -> int:
+        """Conflict count at which the next round is due."""
+        return self._limit
+
     def reduce(self) -> int:
         """Run one reduction round; returns the number of clauses deleted."""
         with self.observer.span("reduce"):

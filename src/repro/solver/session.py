@@ -87,7 +87,7 @@ class SolverSession:
 
     @property
     def num_vars(self) -> int:
-        return self.solver.trail.num_vars
+        return self.solver.num_vars
 
     @property
     def cnf(self) -> CNF:

@@ -5,6 +5,11 @@ analyze + learn + backjump : extend) with clause deletion, restarts, and
 budgets.  The clause-deletion policy is pluggable — exactly the decision
 point the paper's selector targets.
 
+The loop runs in C when the compiled kernel is available
+(:mod:`repro.solver.kernel`), with the same search step for step, and
+otherwise in the pure-Python loop below; reduction, DRAT logging,
+observer events and the model check run in Python either way.
+
 Typical use::
 
     from repro.cnf import random_ksat
@@ -28,6 +33,7 @@ from repro.obs.metrics import SMALL_COUNT_BUCKETS
 from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.policies.base import DeletionPolicy
 from repro.policies.default_policy import DefaultPolicy
+from repro.solver import kernel
 from repro.solver.arena import (
     ArenaConflictAnalyzer,
     ArenaPropagator,
@@ -91,8 +97,24 @@ class SolveResult:
         return self.status is Status.UNKNOWN
 
 
+def _synced(name: str, doc: str) -> property:
+    """A read-only view of ``Solver.<name>``, synced from the kernel first."""
+
+    def get(solver: "Solver"):
+        if solver._engine is not None:
+            solver._engine.expose()
+        return getattr(solver, name)
+
+    return property(get, doc=doc)
+
+
 class Solver:
-    """Conflict-driven clause-learning SAT solver with pluggable deletion."""
+    """Conflict-driven clause-learning SAT solver with pluggable deletion.
+
+    ``trail``, ``watches``, ``clause_db``, ``decider``, ``propagator``
+    and ``restarts`` expose the engine's Python objects; with the
+    compiled loop, reading one first copies the C state back into them.
+    """
 
     def __init__(
         self,
@@ -117,23 +139,24 @@ class Solver:
         )
 
         num_vars = cnf.num_vars
+        self.num_vars = num_vars
         self.stats = SolverStatistics()
         metrics = registry if registry.enabled else None
-        self.clause_db = ClauseArena(keep_glue=self.config.keep_glue)
-        self.trail = ArenaTrail(num_vars, self.clause_db)
-        self.watches = ArenaWatchLists(num_vars, self.clause_db)
-        self.propagator = ArenaPropagator(
-            self.trail, self.watches, self.stats, metrics=metrics
+        self._clause_db = ClauseArena(keep_glue=self.config.keep_glue)
+        self._trail = ArenaTrail(num_vars, self._clause_db)
+        self._watches = ArenaWatchLists(num_vars, self._clause_db)
+        self._propagator = ArenaPropagator(
+            self._trail, self._watches, self.stats, metrics=metrics
         )
-        self.decider = Decider(self.trail)
+        self._decider = Decider(self._trail)
         self.analyzer = ArenaConflictAnalyzer(
-            self.trail, self.clause_db, self.stats, self.decider.bump
+            self._trail, self._clause_db, self.stats, self._decider.bump
         )
         self.reducer = ReduceScheduler(
-            self.clause_db,
-            self.trail,
-            self.watches,
-            self.propagator,
+            self._clause_db,
+            self._trail,
+            self._watches,
+            self._propagator,
             self.stats,
             self.policy,
             interval=self.config.reduce_interval,
@@ -142,7 +165,7 @@ class Solver:
             protect_used=self.config.protect_used,
             observer=self.observer,
         )
-        self.restarts = LubyRestarts(base=self.config.luby_base)
+        self._restarts = LubyRestarts(base=self.config.luby_base)
 
         # True once the formula is known UNSAT regardless of assumptions.
         self._inconsistent = False
@@ -150,6 +173,17 @@ class Solver:
         # incremental add_clause.
         self._owns_cnf = False
         self._ingest_clauses()
+        # The compiled conflict loop, or None for the pure-Python loop.
+        self._engine = kernel.new_engine(self)
+
+    # With the compiled loop the search state lives in C; reading any of
+    # these first copies it back into the same Python objects.
+    trail = _synced("_trail", "The assignment trail (:class:`ArenaTrail`).")
+    watches = _synced("_watches", "The watch tables (:class:`ArenaWatchLists`).")
+    clause_db = _synced("_clause_db", "The clause arena (:class:`ClauseArena`).")
+    propagator = _synced("_propagator", "BCP and the Eq. (2) counters.")
+    decider = _synced("_decider", "VSIDS activities, heap and saved phases.")
+    restarts = _synced("_restarts", "The Luby restart schedule.")
 
     # -- setup -------------------------------------------------------------
 
@@ -164,15 +198,15 @@ class Solver:
                 self._mark_inconsistent()
                 return
             if len(lits) == 1:
-                value = self.trail.value_lit(lits[0])
+                value = self._trail.value_lit(lits[0])
                 if value == FALSE:
                     self._mark_inconsistent()
                     return
                 if value == UNASSIGNED:
-                    self.trail.assign(lits[0], None)
+                    self._trail.assign(lits[0], None)
                 continue
-            solver_clause = self.clause_db.add_original(lits)
-            self.watches.attach(solver_clause)
+            solver_clause = self._clause_db.add_original(lits)
+            self._watches.attach(solver_clause)
 
     def _mark_inconsistent(self) -> None:
         """Record global unsatisfiability, emitting the proof's empty clause."""
@@ -198,10 +232,10 @@ class Solver:
             lit = int(lit)
             if lit == 0:
                 raise ValueError("0 is not a literal")
-            if abs(lit) > self.trail.num_vars:
+            if abs(lit) > self.num_vars:
                 raise ValueError(
                     f"variable {abs(lit)} exceeds the solver's range "
-                    f"({self.trail.num_vars}); declare all variables up front"
+                    f"({self.num_vars}); declare all variables up front"
                 )
             if lit not in seen:
                 seen.add(lit)
@@ -218,10 +252,12 @@ class Solver:
         if not encoded:
             self._mark_inconsistent()
             return
+        engine = self._engine
+        value_lit = self._trail.value_lit if engine is None else engine.value
         # Drop level-0-false literals; detect satisfaction at level 0.
         remaining = []
         for lit in encoded:
-            value = self.trail.value_lit(lit)
+            value = value_lit(lit)
             if value == TRUE:
                 return  # already satisfied forever
             if value == UNASSIGNED:
@@ -230,12 +266,19 @@ class Solver:
             self._mark_inconsistent()
             return
         if len(remaining) == 1:
-            self.trail.assign(remaining[0], None)
-            if self.propagator.propagate() is not None:
+            if engine is not None:
+                conflict = engine.assign_and_propagate(remaining[0])
+            else:
+                self._trail.assign(remaining[0], None)
+                conflict = self._propagator.propagate() is not None
+            if conflict:
                 self._mark_inconsistent()
             return
-        solver_clause = self.clause_db.add_original(remaining)
-        self.watches.attach(solver_clause)
+        if engine is not None:
+            engine.add_original(remaining)
+            return
+        solver_clause = self._clause_db.add_original(remaining)
+        self._watches.attach(solver_clause)
 
     # -- learned clause installation ------------------------------------------
 
@@ -249,17 +292,21 @@ class Solver:
         if self.proof is not None:
             self.proof.add_clause(lits)
         if len(lits) == 1:
-            self.trail.assign(lits[0], None)
+            self._trail.assign(lits[0], None)
             return
-        clause = self.clause_db.add_learned(lits, glue)
-        self.watches.attach(clause)
-        self.trail.assign(lits[0], clause)
+        clause = self._clause_db.add_learned(lits, glue)
+        self._watches.attach(clause)
+        self._trail.assign(lits[0], clause)
 
     def _backtrack(self, level: int) -> None:
         """Backtrack with phase saving and decision-queue maintenance."""
-        undone = self.trail.backtrack(level)
-        saved = self.decider.saved_phase
-        requeue = self.decider.requeue
+        if self._engine is not None:
+            self._engine.acquire()
+            self._engine.backtrack(level)
+            return
+        undone = self._trail.backtrack(level)
+        saved = self._decider.saved_phase
+        requeue = self._decider.requeue
         for lit in undone:
             var = lit >> 1
             saved[var] = (lit & 1) == 0
@@ -329,28 +376,32 @@ class Solver:
         self._backtrack(0)
         assumed = [encode(lit) for lit in assumptions]
         for lit in assumed:
-            if (lit >> 1) > self.trail.num_vars:
+            if (lit >> 1) > self.num_vars:
                 raise ValueError(f"assumption on unknown variable {lit >> 1}")
+        if self._engine is not None:
+            return self._kernel_search(
+                assumed, max_conflicts, max_propagations, max_decisions
+            )
 
         # Level-0 closure of the original units.
-        conflict = self.propagator.propagate()
+        conflict = self._propagator.propagate()
         if conflict is not None:
             self._mark_inconsistent()
             return self._result(Status.UNSATISFIABLE)
 
         while True:
-            conflict = self.propagator.propagate()
+            conflict = self._propagator.propagate()
             if conflict is not None:
                 self.stats.conflicts += 1
-                if self.trail.decision_level == 0:
+                if self._trail.decision_level == 0:
                     self._mark_inconsistent()
                     return self._result(Status.UNSATISFIABLE)
                 learned, backjump, glue = self.analyzer.analyze(conflict)
-                self.restarts.on_conflict()
+                self._restarts.on_conflict()
                 self._backtrack(backjump)
                 self._install_learned(learned, glue)
-                self.decider.decay_activities()
-                self.clause_db.decay_clause_activities()
+                self._decider.decay_activities()
+                self._clause_db.decay_clause_activities()
                 continue
 
             if self._budget_exhausted(max_conflicts, max_propagations, max_decisions):
@@ -359,9 +410,9 @@ class Solver:
             if self.reducer.should_reduce():
                 self._reduce()
 
-            if self.restarts.should_restart() and self.trail.decision_level > 0:
+            if self._restarts.should_restart() and self._trail.decision_level > 0:
                 self.stats.restarts += 1
-                self.restarts.on_restart()
+                self._restarts.on_restart()
                 self._backtrack(0)
                 self.observer.event(
                     "restart",
@@ -373,22 +424,68 @@ class Solver:
             # Re-decide any assumption not yet on the trail.
             decision = self._next_assumption(assumed)
             if decision == -1:
-                failed = next(
-                    lit for lit in assumed if self.trail.value_lit(lit) == FALSE
-                )
-                core = self._analyze_final(failed, assumed)
-                result = self._result(Status.UNSATISFIABLE)
-                result.core = core
-                return result
+                return self._failed_result(assumed)
             if decision is None:
-                decision = self.decider.pick_branch_literal()
+                decision = self._decider.pick_branch_literal()
                 if decision is None:
                     return self._sat_result()
             self.stats.decisions += 1
-            self.trail.new_decision_level()
-            self.trail.assign(decision, None)
-            if len(self.trail.trail) > self.stats.max_trail:
-                self.stats.max_trail = len(self.trail.trail)
+            self._trail.new_decision_level()
+            self._trail.assign(decision, None)
+            if len(self._trail.trail) > self.stats.max_trail:
+                self.stats.max_trail = len(self._trail.trail)
+
+    def _kernel_search(
+        self,
+        assumed: List[int],
+        max_conflicts: Optional[int],
+        max_propagations: Optional[int],
+        max_decisions: Optional[int],
+    ) -> SolveResult:
+        """The same loop in C; Python handles what the kernel hands back."""
+        engine = self._engine
+        observer = self.observer
+        phase = kernel.START
+        while True:
+            code = engine.run(
+                phase,
+                assumed,
+                max_conflicts,
+                max_propagations,
+                max_decisions,
+                self.reducer.limit,
+                observer.enabled,
+            )
+            if code == kernel.REDUCE:
+                engine.expose()
+                self._reduce()
+                phase = kernel.AFTER_REDUCE
+            elif code == kernel.RESTART:
+                observer.event(
+                    "restart",
+                    restarts=self.stats.restarts,
+                    conflicts=self.stats.conflicts,
+                )
+                phase = kernel.LOOP
+            elif code == kernel.SAT:
+                return self._sat_result()
+            elif code == kernel.UNSAT:
+                self._mark_inconsistent()
+                return self._result(Status.UNSATISFIABLE)
+            elif code == kernel.FAILED:
+                engine.peek_trail()
+                return self._failed_result(assumed)
+            else:  # kernel.UNKNOWN: a budget is spent
+                return self._result(Status.UNKNOWN)
+
+    def _failed_result(self, assumed: List[int]) -> SolveResult:
+        """UNSAT under assumptions, with the failed-assumption core."""
+        failed = next(
+            lit for lit in assumed if self._trail.value_lit(lit) == FALSE
+        )
+        result = self._result(Status.UNSATISFIABLE)
+        result.core = self._analyze_final(failed, assumed)
+        return result
 
     def _analyze_final(self, failed_lit: int, assumed: List[int]) -> List[int]:
         """Compute a failed-assumption core (MiniSat's ``analyzeFinal``).
@@ -401,32 +498,33 @@ class Solver:
         """
         from repro.solver.types import decode
 
+        trail = self._trail
         assumed_set = set(assumed)
         core = [decode(failed_lit)]
-        seen = [False] * (self.trail.num_vars + 1)
+        seen = [False] * (self.num_vars + 1)
         seen[failed_lit >> 1] = True
         # Walk the trail backwards, expanding reasons of marked variables.
-        for lit in reversed(self.trail.trail):
+        for lit in reversed(trail.trail):
             var = lit >> 1
             if not seen[var]:
                 continue
-            if self.trail.levels[var] == 0:
+            if trail.levels[var] == 0:
                 continue
-            reason = self.trail.reasons[var]
+            reason = trail.reasons[var]
             if reason is None:
                 # A decision: by construction only assumptions are decided
                 # while an assumption is still unassigned.
                 if lit in assumed_set or (lit ^ 1) in assumed_set:
                     core.append(decode(lit if lit in assumed_set else lit ^ 1))
                 continue
-            for other in self.trail.reason_literals(var):
+            for other in trail.reason_literals(var):
                 seen[other >> 1] = True
         return core
 
     def _next_assumption(self, assumed: List[int]) -> Optional[int]:
         """Next unsatisfied assumption literal; -1 when one is falsified."""
         for lit in assumed:
-            value = self.trail.value_lit(lit)
+            value = self._trail.value_lit(lit)
             if value == FALSE:
                 return -1
             if value == UNASSIGNED:
@@ -457,12 +555,15 @@ class Solver:
         return False
 
     def _sat_result(self) -> SolveResult:
-        model = self.trail.model()
+        engine = self._engine
+        model = self._trail.model() if engine is None else engine.model()
         # Unconstrained variables default to true, the initial phase.
-        for var in range(1, self.trail.num_vars + 1):
+        for var in range(1, self.num_vars + 1):
             if model[var] is None:
                 model[var] = True
-        assert self.cnf.check_model(model), "internal error: bogus model"
+        # Always on (not an assert): `python -O` must not skip it.
+        if not self.cnf.check_model(model):
+            raise RuntimeError("internal error: bogus model")
         return SolveResult(
             status=Status.SATISFIABLE,
             model=model,

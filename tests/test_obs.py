@@ -284,6 +284,15 @@ class TestManifest:
         assert loaded["seeds"] == {"instance": 3}
         assert loaded == RunManifest(**loaded).to_dict()
 
+    def test_manifest_records_solver_engine(self):
+        from repro.solver import kernel
+
+        manifest = collect_manifest("r-eng", "solve").to_dict()
+        engine, reason = kernel.engine_info()
+        assert manifest["solver_engine"] == engine in ("c", "python")
+        assert manifest["solver_engine_reason"] == reason
+        assert (engine == "c") == (reason == "")
+
     def test_start_run_without_dir_returns_null(self):
         assert start_run(None, "solve") is NULL_OBSERVER
 

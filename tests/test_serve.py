@@ -459,6 +459,23 @@ def test_http_solve_roundtrip_matches_direct_solve():
     assert status.json["state"] == "DONE"
 
 
+def test_healthz_reports_solver_engine():
+    from repro.solver import kernel
+
+    async def scenario():
+        service, server, client = await _http_service()
+        try:
+            return await client.health()
+        finally:
+            await _http_teardown(service, server)
+
+    reply = asyncio.run(scenario())
+    assert reply.code == 200
+    engine, reason = kernel.engine_info()
+    assert reply.json["solver_engine"] == engine
+    assert reply.json["solver_engine_reason"] == reason
+
+
 def test_http_error_paths():
     async def scenario():
         service, server, client = await _http_service(max_queue_depth=0)

@@ -1,5 +1,10 @@
 """Integration tests for the full CDCL solver."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cnf import CNF, parity_chain, pigeonhole, random_ksat
@@ -14,6 +19,7 @@ from repro.solver import (
     solve,
 )
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 _REDUCE_STRESS = SolverConfig(reduce_interval=50, reduce_interval_growth=20)
 
 PINNED_INSTANCES = {
@@ -85,6 +91,27 @@ class TestBasicSolving:
     def test_result_flags(self, simple_sat_cnf, simple_unsat_cnf):
         assert Solver(simple_sat_cnf).solve().is_sat
         assert Solver(simple_unsat_cnf).solve().is_unsat
+
+    def test_model_check_is_not_an_assert(self):
+        """A bogus model raises even under ``python -O``."""
+        script = (
+            "from repro.cnf import CNF\n"
+            "from repro.solver import Solver\n"
+            "CNF.check_model = lambda self, model: False\n"
+            "try:\n"
+            "    Solver(CNF([[1, 2], [-1]])).solve()\n"
+            "except RuntimeError as exc:\n"
+            "    print('raised', exc)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("raised internal error: bogus model")
 
 
 class TestHarderInstances:
