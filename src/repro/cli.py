@@ -5,7 +5,6 @@ Subcommands mirror the library's workflow:
 * ``solve``      — solve a DIMACS file (policy, proof, assumptions, budgets)
 * ``generate``   — write instances from any generator family
 * ``features``   — print static features of a formula
-* ``preprocess`` — simplify a formula and write the result
 * ``label``      — run both deletion policies and print the Sec. 5.1 label
 * ``dataset``    — build and save a labelled dataset
 * ``train``      — train NeuroSelect (fresh or saved dataset), save weights
@@ -125,8 +124,6 @@ def _add_solve(subparsers) -> None:
                         "per call), and UNSAT-under-assumptions answers "
                         "print their failed-assumption core as an "
                         "'f <lits> 0' line")
-    p.add_argument("--preprocess", action="store_true",
-                   help="run the simplification pipeline first")
     _add_obs_args(p)
     p.set_defaults(func=cmd_solve)
 
@@ -225,9 +222,11 @@ def _solve_incremental(args) -> int:
 
 def cmd_solve(args) -> int:
     """Handle ``repro solve``: solve a DIMACS file, print s/v lines."""
+    for flag, budget in (("--max-conflicts", args.max_conflicts),
+                         ("--max-propagations", args.max_propagations)):
+        if budget is not None and budget < 0:
+            raise SystemExit(f"{flag} must be >= 0, got {budget}")
     if args.incremental:
-        if args.preprocess:
-            raise SystemExit("--incremental and --preprocess are exclusive")
         if args.assume:
             raise SystemExit(
                 "--incremental takes assumptions from 'a' lines, not --assume"
@@ -236,28 +235,24 @@ def cmd_solve(args) -> int:
             raise SystemExit("--incremental does not support --proof")
         return _solve_incremental(args)
     cnf = parse_dimacs_file(args.file)
+    for lit in args.assume:
+        if lit == 0 or abs(lit) > cnf.num_vars:
+            raise SystemExit(
+                f"--assume {lit} is not a literal of this formula "
+                f"(variables 1..{cnf.num_vars})"
+            )
     obs = _observer_from_args(args, "solve", policy=args.policy)
-    if args.preprocess:
-        from repro.simplify import solve_with_preprocessing
-
-        result = solve_with_preprocessing(
-            cnf,
-            max_conflicts=args.max_conflicts,
-            max_propagations=args.max_propagations,
-            observer=obs,
-        )
-    else:
-        proof = ProofLog(args.proof) if args.proof else None
-        solver = Solver(
-            cnf, policy=get_policy(args.policy), proof=proof, observer=obs,
-        )
-        result = solver.solve(
-            assumptions=args.assume,
-            max_conflicts=args.max_conflicts,
-            max_propagations=args.max_propagations,
-        )
-        if proof is not None:
-            proof.close()
+    proof = ProofLog(args.proof) if args.proof else None
+    solver = Solver(
+        cnf, policy=get_policy(args.policy), proof=proof, observer=obs,
+    )
+    result = solver.solve(
+        assumptions=args.assume,
+        max_conflicts=args.max_conflicts,
+        max_propagations=args.max_propagations,
+    )
+    if proof is not None:
+        proof.close()
 
     print(f"s {result.status.value}")
     if result.status is Status.SATISFIABLE:
@@ -319,34 +314,6 @@ def cmd_features(args) -> int:
     cnf = parse_dimacs_file(args.file)
     for key, value in extract_features(cnf).to_dict().items():
         print(f"{key:28s} {value}")
-    return 0
-
-
-def _add_preprocess(subparsers) -> None:
-    p = subparsers.add_parser("preprocess", help="simplify a formula")
-    p.add_argument("file")
-    p.add_argument("--out", required=True)
-    p.add_argument("--rounds", type=int, default=3)
-    p.set_defaults(func=cmd_preprocess)
-
-
-def cmd_preprocess(args) -> int:
-    """Handle ``repro preprocess``: simplify and write the residual CNF."""
-    from repro.simplify import Preprocessor
-
-    cnf = parse_dimacs_file(args.file)
-    result = Preprocessor(max_rounds=args.rounds).preprocess(cnf)
-    if result.status is Status.UNSATISFIABLE:
-        print("s UNSATISFIABLE (decided during preprocessing)")
-        return 20
-    write_dimacs_file(result.cnf, args.out)
-    stats = result.stats
-    print(
-        f"wrote {args.out}: {cnf.num_clauses} -> {result.cnf.num_clauses} clauses "
-        f"(fixed={stats.fixed_variables} eliminated={stats.eliminated_variables} "
-        f"subsumed={stats.subsumed_clauses} strengthened={stats.strengthened_literals} "
-        f"probed={stats.failed_literals})"
-    )
     return 0
 
 
@@ -1315,7 +1282,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solve(subparsers)
     _add_generate(subparsers)
     _add_features(subparsers)
-    _add_preprocess(subparsers)
     _add_label(subparsers)
     _add_dataset(subparsers)
     _add_train(subparsers)

@@ -4,8 +4,8 @@ The correctness harness every solver/policy change is checked against:
 
 * :mod:`repro.fuzz.oracles` — a pluggable bank of cross-checks (brute
   force, DPLL, both deletion policies, warm-vs-fresh incremental
-  sessions, preprocessing on/off, DRAT proofs, metamorphic transforms) that turn a solve result into either
-  silence or a structured :class:`Discrepancy`;
+  sessions, DRAT proofs, metamorphic transforms) that turn a solve
+  result into either silence or a structured :class:`Discrepancy`;
 * :mod:`repro.fuzz.campaign` — seeded, deterministic campaigns over
   the generator registry, fanned out through the fault-tolerant
   parallel runner;
@@ -28,7 +28,6 @@ from repro.fuzz.oracles import (
     OracleBank,
     OracleContext,
     PolicyAgreementOracle,
-    PreprocessingOracle,
     default_oracles,
     default_solve_fn,
     derive_mutants,
@@ -69,7 +68,6 @@ __all__ = [
     "OracleBank",
     "OracleContext",
     "PolicyAgreementOracle",
-    "PreprocessingOracle",
     "ShrinkResult",
     "build_cases",
     "default_oracles",

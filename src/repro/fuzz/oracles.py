@@ -15,8 +15,6 @@ cross-checks:
 * :class:`IncrementalOracle` — a warm incremental session must answer
   every step of a derived add-clause/assumption schedule exactly like a
   fresh solve, with sound failed-assumption cores;
-* :class:`PreprocessingOracle` — simplification must be
-  equisatisfiable and its reconstructed models must check out;
 * :class:`DratOracle` — UNSAT answers must come with a checkable DRAT
   refutation;
 * :class:`MetamorphicOracle` — satisfiability-preserving transforms
@@ -418,38 +416,6 @@ class IncrementalOracle(Oracle):
         return []
 
 
-class PreprocessingOracle(Oracle):
-    """Simplification must be equisatisfiable with the input formula."""
-
-    name = "preprocessing"
-
-    def check(self, cnf: CNF, ctx: OracleContext) -> List[Discrepancy]:
-        """Compare plain solving against preprocess-then-solve."""
-        from repro.simplify import solve_with_preprocessing
-
-        status, _ = ctx.solve(cnf)
-        if not status.decided:
-            return []
-        pre = solve_with_preprocessing(cnf, max_conflicts=ctx.budget)
-        if not pre.status.decided:
-            return []
-        if pre.status is not status:
-            return [self._mismatch(
-                ctx, "status-mismatch",
-                f"plain={status.value}", f"preprocessed={pre.status.value}",
-                "simplification changed satisfiability",
-            )]
-        if pre.status is Status.SATISFIABLE and (
-            pre.model is None or not cnf.check_model(pre.model)
-        ):
-            return [self._mismatch(
-                ctx, "model-invalid", "reconstructed satisfying model",
-                "falsified clause",
-                "model reconstruction after preprocessing failed",
-            )]
-        return []
-
-
 class DratOracle(Oracle):
     """UNSAT answers must come with a checkable DRAT refutation."""
 
@@ -551,7 +517,6 @@ def default_oracles(mutants: int = 2, mutation_seed: int = 0) -> List[Oracle]:
         PolicyAgreementOracle(),
         IncrementalOracle(),
         MetamorphicOracle(mutants=mutants, seed=mutation_seed),
-        PreprocessingOracle(),
         DratOracle(),
     ]
 

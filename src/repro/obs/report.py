@@ -6,7 +6,7 @@
   totals (falling back to aggregating ``span`` events for truncated
   traces);
 * **event counts** — restarts, reductions (with clauses deleted),
-  simplify passes, and the rest of the event taxonomy;
+  and the rest of the event taxonomy;
 * **task latency** — exact percentiles over ``task-finish`` wall-clock
   (the supervisor measures failed attempts too, so timeouts show their
   real cost);
@@ -55,7 +55,6 @@ def summarize_traces(
     event_counts: Dict[str, int] = {}
     phases: Dict[str, Dict[str, float]] = {}
     deleted_clauses = 0
-    simplify_removed = 0
     task_wall: List[float] = []
     cached_tasks = 0
     resumed_tasks = 0
@@ -113,8 +112,6 @@ def summarize_traces(
                 entry[1] += float(record.get("seconds", 0.0))
             elif kind == "reduce":
                 deleted_clauses += int(record.get("deleted", 0))
-            elif kind == "simplify-pass":
-                simplify_removed += int(record.get("removed", 0))
             elif kind == "task-retry":
                 retries += 1
             elif kind == "task-finish":
@@ -273,7 +270,6 @@ def summarize_traces(
         "event_counts": dict(sorted(event_counts.items())),
         "phases": phases,
         "deleted_clauses": deleted_clauses,
-        "simplify_removed": simplify_removed,
         "latency": latency,
         "cached_tasks": cached_tasks,
         "resumed_tasks": resumed_tasks,
@@ -340,9 +336,6 @@ def render_report(summary: Dict[str, Any]) -> str:
     if summary["deleted_clauses"]:
         out.append(f"  clauses deleted across reductions: "
                    f"{summary['deleted_clauses']}")
-    if summary["simplify_removed"]:
-        out.append(f"  clauses removed by simplify passes: "
-                   f"{summary['simplify_removed']}")
 
     phases = summary["phases"]
     if phases:

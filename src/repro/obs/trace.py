@@ -42,8 +42,6 @@ EVENT_TYPES = frozenset({
     "run-start", "run-end",
     # solver (repro.solver)
     "solve-start", "solve-end", "restart", "reduce",
-    # simplification (repro.simplify)
-    "simplify-pass",
     # parallel execution (repro.parallel)
     "task-start", "task-retry", "task-finish", "journal-error",
     # labelling (repro.selection.labeling)

@@ -31,11 +31,6 @@ from repro.selection.session import (
     new_session_id,
 )
 from repro.selection.storage import save_dataset, load_dataset
-from repro.selection.validation import (
-    CrossValidationResult,
-    cross_validate,
-    k_fold_splits,
-)
 
 __all__ = [
     "PolicyComparison",
@@ -65,9 +60,6 @@ __all__ = [
     "SessionSelection",
     "feature_distance",
     "new_session_id",
-    "CrossValidationResult",
-    "cross_validate",
-    "k_fold_splits",
     "save_dataset",
     "load_dataset",
 ]

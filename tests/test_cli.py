@@ -1,7 +1,11 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import argparse
+import re
+
 import pytest
 
+import repro.cli
 from repro.cli import main
 from repro.cnf import CNF, parse_dimacs_file, write_dimacs_file
 from repro.solver import check_drat
@@ -49,11 +53,31 @@ class TestSolve:
     def test_assumptions(self, sat_file, capsys):
         assert main(["solve", sat_file, "--assume", "1", "3"]) == 20
 
-    def test_with_preprocessing(self, sat_file, capsys):
-        assert main(["solve", sat_file, "--preprocess"]) == 10
-
     def test_frequency_policy(self, sat_file, capsys):
         assert main(["solve", sat_file, "--policy", "frequency"]) == 10
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--assume", "9"], "--assume 9"),
+        (["--assume", "0"], "--assume 0"),
+        (["--max-conflicts", "-1"], "--max-conflicts"),
+        (["--max-propagations", "-1"], "--max-propagations"),
+    ], ids=["unknown-variable", "zero-literal", "negative-conflicts",
+            "negative-propagations"])
+    def test_bad_input_rejected_in_one_line(self, sat_file, flags, named):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", sat_file, *flags])
+        message = exc.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert named in message
+
+
+def test_docstring_lists_exactly_the_registered_subcommands():
+    (subparsers,) = [
+        action for action in repro.cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    documented = re.findall(r"^\* ``(\w+)``", repro.cli.__doc__, re.MULTILINE)
+    assert sorted(documented) == sorted(subparsers.choices)
 
 
 class TestGenerate:
@@ -81,23 +105,11 @@ class TestGenerate:
                   "--param", "oops"])
 
 
-class TestFeaturesPreprocessLabel:
+class TestFeaturesLabel:
     def test_features_lists_all(self, sat_file, capsys):
         assert main(["features", sat_file]) == 0
         out = capsys.readouterr().out
         assert "num_vars" in out and "horn_fraction" in out
-
-    def test_preprocess_writes_simplified(self, tmp_path, capsys):
-        src = tmp_path / "in.cnf"
-        write_dimacs_file(CNF([[1], [-1, 2], [2, 3], [2, 3, 4]]), src)
-        out = tmp_path / "out.cnf"
-        assert main(["preprocess", str(src), "--out", str(out)]) == 0
-        simplified = parse_dimacs_file(out)
-        assert simplified.num_clauses < 4
-
-    def test_preprocess_detects_unsat(self, unsat_file, tmp_path, capsys):
-        code = main(["preprocess", unsat_file, "--out", str(tmp_path / "o.cnf")])
-        assert code == 20
 
     def test_label_reports_policies(self, sat_file, capsys):
         assert main(["label", sat_file, "--max-conflicts", "100"]) == 0

@@ -1,9 +1,9 @@
 """Configuration fuzzing: any solver configuration must stay correct.
 
 Sweeps random combinations of every solver knob (policy, reduce
-schedule, clause protection, restart unit, preprocessing) against the
-brute-force oracle on small random formulas.  Interactions between
-features are exactly where soundness bugs hide.
+schedule, clause protection, restart unit) against the brute-force
+oracle on small random formulas.  Interactions between features are
+exactly where soundness bugs hide.
 """
 
 import random
@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cnf import random_ksat
 from repro.policies import DefaultPolicy, FrequencyPolicy
-from repro.simplify import Preprocessor, solve_with_preprocessing
 from repro.solver import Solver, SolverConfig, Status, brute_force_status
 
 CONFIG_SPACE = st.fixed_dictionaries(
@@ -46,25 +45,3 @@ def test_any_configuration_matches_oracle(cnf, config_kwargs, use_frequency):
     if result.status is Status.SATISFIABLE:
         assert cnf.check_model(result.model)
 
-
-@settings(max_examples=60, deadline=None)
-@given(
-    formulas(),
-    st.fixed_dictionaries(
-        {
-            "enable_subsumption": st.booleans(),
-            "enable_strengthening": st.booleans(),
-            "enable_probing": st.booleans(),
-            "enable_elimination": st.booleans(),
-            "enable_vivification": st.booleans(),
-            "enable_equivalences": st.booleans(),
-            "max_rounds": st.sampled_from([1, 2, 4]),
-        }
-    ),
-)
-def test_any_preprocessor_configuration_matches_oracle(cnf, pre_kwargs):
-    expected = brute_force_status(cnf)
-    result = solve_with_preprocessing(cnf, preprocessor=Preprocessor(**pre_kwargs))
-    assert result.status is expected
-    if result.status is Status.SATISFIABLE:
-        assert cnf.check_model(result.model)

@@ -1,9 +1,9 @@
 """Regression corpus: crafted DIMACS corner cases swept through the stack.
 
 Every file in ``tests/data`` is parsed, solved under both deletion
-policies (cross-checked against the brute-force oracle), preprocessed,
-and — when UNSAT — certified via DRAT.  New corner cases go in as new
-files; the sweep picks them up automatically.
+policies (cross-checked against the brute-force oracle), and — when
+UNSAT — certified via DRAT.  New corner cases go in as new files; the
+sweep picks them up automatically.
 """
 
 from pathlib import Path
@@ -12,7 +12,6 @@ import pytest
 
 from repro.cnf import parse_dimacs_file, to_dimacs, parse_dimacs
 from repro.policies import DefaultPolicy, FrequencyPolicy
-from repro.simplify import solve_with_preprocessing
 from repro.solver import ProofLog, Solver, Status, brute_force_status, check_drat
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -48,15 +47,6 @@ def test_expected_status_matches_oracle(path):
 def test_solver_on_corpus(path, policy):
     cnf = parse_dimacs_file(path)
     result = Solver(cnf, policy=policy()).solve()
-    assert result.status is EXPECTED[path.name]
-    if result.is_sat:
-        assert cnf.check_model(result.model)
-
-
-@pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.name)
-def test_preprocessing_on_corpus(path):
-    cnf = parse_dimacs_file(path)
-    result = solve_with_preprocessing(cnf)
     assert result.status is EXPECTED[path.name]
     if result.is_sat:
         assert cnf.check_model(result.model)

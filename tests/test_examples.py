@@ -67,10 +67,10 @@ class TestExamples:
         assert "Table 3" in proc.stdout
         assert "median improvement" in proc.stdout
 
-    def test_preprocess_and_certify(self):
-        proc = run_example("preprocess_and_certify.py")
+    def test_certify(self):
+        proc = run_example("certify.py")
         assert proc.returncode == 0, proc.stderr
-        assert "reconstructed model verified" in proc.stdout
+        assert "model checked" in proc.stdout
         assert "DRAT proof checked" in proc.stdout
 
     def test_structure_analysis(self):

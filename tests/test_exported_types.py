@@ -12,7 +12,6 @@ from repro.selection import (
     TrainingHistory,
     YearStatistics,
 )
-from repro.simplify import Preprocessor, PreprocessResult, PreprocessStats
 from repro.solver import Solver, Status
 from repro.models import READOUTS, DirectedMessagePass
 
@@ -31,12 +30,6 @@ def test_policy_registry_and_interface():
     assert set(POLICY_REGISTRY) == {"default", "frequency"}
     assert isinstance(DefaultPolicy(), DeletionPolicy)
     assert "default" in repr(DefaultPolicy())
-
-
-def test_preprocess_result_types():
-    result = Preprocessor().preprocess(CNF([[1, 2], [1]]))
-    assert isinstance(result, PreprocessResult)
-    assert isinstance(result.stats, PreprocessStats)
 
 
 def test_conflict_analyzer_is_solver_component():

@@ -590,15 +590,6 @@ class TestDisabledOverhead:
         ceiling = 8 + stats.restarts + 4 * stats.reductions
         assert len(calls) <= ceiling, calls
 
-    def test_disabled_simplify_skips_all_instruments(self, simple_sat_cnf):
-        from repro.simplify import Preprocessor
-
-        preprocessor = Preprocessor()
-        calls = _profile_obs_calls(
-            lambda: preprocessor.preprocess(simple_sat_cnf)
-        )
-        assert not FORBIDDEN_OBS_CALLS.intersection(calls)
-
 
 # ---------------------------------------------------------------------------
 # Prometheus text exposition
