@@ -414,11 +414,15 @@ def run_labeling_comparison():
         for i in range(LABEL_INSTANCES)
     ]
     start = time.perf_counter()
-    serial = label_instances(cnfs, max_conflicts=LABEL_CONFLICTS, workers=1)
+    serial = label_instances(
+        cnfs, max_conflicts=LABEL_CONFLICTS, runner=ParallelRunner(workers=1)
+    )
     serial_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    parallel = label_instances(cnfs, max_conflicts=LABEL_CONFLICTS, workers=4)
+    parallel = label_instances(
+        cnfs, max_conflicts=LABEL_CONFLICTS, runner=ParallelRunner(workers=4)
+    )
     parallel_seconds = time.perf_counter() - start
     assert [c.label for c in serial] == [c.label for c in parallel]
 

@@ -4,7 +4,6 @@ from repro.bench.calibration import EffortScale, scale_for_budget, PAPER_TIMEOUT
 from repro.bench.runner import (
     InstanceRecord,
     SuiteStatistics,
-    run_instance,
     run_suite,
     suite_statistics,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "PAPER_TIMEOUT_SECONDS",
     "InstanceRecord",
     "SuiteStatistics",
-    "run_instance",
     "run_suite",
     "suite_statistics",
     "format_table",

@@ -3,18 +3,14 @@
 from __future__ import annotations
 
 import statistics
-import time
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
 from repro.bench.calibration import EffortScale
-from repro.cnf.formula import CNF
 from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.parallel.runner import ParallelRunner, SolveOutcome, SolveTask
 from repro.selection.labeling import default_labeling_config
-from repro.policies.registry import get_policy
-from repro.solver.solver import Solver, SolverConfig
+from repro.solver.solver import SolverConfig
 from repro.solver.types import Status
 
 
@@ -38,67 +34,26 @@ class InstanceRecord:
         return self.status.decided
 
 
-def run_instance(
-    cnf: CNF,
-    policy_name: str,
-    max_propagations: int,
-    name: str = "",
-    family: str = "",
-    config: Optional[SolverConfig] = None,
-) -> InstanceRecord:
-    """Solve one instance under one policy with a propagation timeout."""
-    solver = Solver(
-        cnf,
-        policy=get_policy(policy_name),
-        config=config or default_labeling_config(),
-    )
-    start = time.perf_counter()
-    result = solver.solve(max_propagations=max_propagations)
-    wall = time.perf_counter() - start
-    return InstanceRecord(
-        name=name or repr(cnf),
-        family=family,
-        policy=policy_name,
-        status=result.status,
-        propagations=result.stats.propagations,
-        conflicts=result.stats.conflicts,
-        wall_seconds=wall,
-    )
-
-
 def run_suite(
     instances: Sequence,
     policy_name: str,
     max_propagations: int,
     config: Optional[SolverConfig] = None,
-    workers: int = 1,
-    cache_dir: Optional[Union[str, Path]] = None,
     runner: Optional[ParallelRunner] = None,
-    task_timeout: Optional[float] = None,
-    retries: int = 0,
-    journal: Optional[Union[str, Path]] = None,
     observer: Optional[Observer] = None,
 ) -> List[InstanceRecord]:
     """Run every ``LabeledInstance`` (or CNF) under one policy.
 
-    ``workers`` fans the suite out across processes and ``cache_dir``
-    (or a pre-built ``runner``) adds the on-disk result cache, so
-    repeated suite runs — e.g. the same instances under several policies
-    and budgets across benchmark sessions — never re-solve a pair.  The
-    records are identical to the sequential path; the solver is
-    deterministic per (instance, policy, config, budgets).
-
-    ``task_timeout`` / ``retries`` / ``journal`` enable supervised
-    execution: a wedged instance is killed and recorded as a TIMEOUT
-    record (unsolved, like UNKNOWN) instead of stalling the suite, and
-    re-running with the same journal resumes an interrupted sweep.
+    The ``runner`` (an in-process ``ParallelRunner()`` when none is
+    given) decides how the solves execute: fanned out across processes,
+    served from the on-disk result cache so repeated suite runs never
+    re-solve a pair, or supervised so a wedged instance becomes a
+    TIMEOUT record (unsolved, like UNKNOWN) and a journal resumes an
+    interrupted sweep.  The records do not depend on the runner; the
+    solver is deterministic per (instance, policy, config, budgets).
     """
     if runner is None:
-        runner = ParallelRunner(
-            workers=workers, cache_dir=cache_dir,
-            task_timeout=task_timeout, retries=retries, journal=journal,
-            observer=observer,
-        )
+        runner = ParallelRunner(observer=observer)
     obs = observer if observer is not None else NULL_OBSERVER
     families = [getattr(inst, "family", "") for inst in instances]
     tasks = [

@@ -59,6 +59,7 @@ from repro.cnf import (
     parse_dimacs_file,
     write_dimacs_file,
 )
+from repro.cnf.dimacs import DimacsError
 from repro.policies import get_policy, policy_names
 from repro.solver import (
     ProofLog,
@@ -220,12 +221,20 @@ def _solve_incremental(args) -> int:
     return code
 
 
+def _check_budgets(**budgets) -> None:
+    """Reject a negative solver budget in one line (``max_conflicts=-1``
+    reports as ``--max-conflicts``)."""
+    for name, budget in budgets.items():
+        if budget is not None and budget < 0:
+            flag = "--" + name.replace("_", "-")
+            raise SystemExit(f"{flag} must be >= 0, got {budget}")
+
+
 def cmd_solve(args) -> int:
     """Handle ``repro solve``: solve a DIMACS file, print s/v lines."""
-    for flag, budget in (("--max-conflicts", args.max_conflicts),
-                         ("--max-propagations", args.max_propagations)):
-        if budget is not None and budget < 0:
-            raise SystemExit(f"{flag} must be >= 0, got {budget}")
+    _check_budgets(
+        max_conflicts=args.max_conflicts, max_propagations=args.max_propagations
+    )
     if args.incremental:
         if args.assume:
             raise SystemExit(
@@ -328,10 +337,11 @@ def _add_label(subparsers) -> None:
 
 def cmd_label(args) -> int:
     """Handle ``repro label``: run both policies, print the Sec. 5.1 label."""
-    from repro.selection import compare_policies
+    from repro.selection import label_instances
 
+    _check_budgets(max_conflicts=args.max_conflicts)
     cnf = parse_dimacs_file(args.file)
-    comparison = compare_policies(cnf, max_conflicts=args.max_conflicts)
+    comparison = label_instances([cnf], max_conflicts=args.max_conflicts)[0]
     print(f"default:   {comparison.default_result_status.value} "
           f"({comparison.default_propagations} propagations)")
     print(f"frequency: {comparison.frequency_result_status.value} "
@@ -366,6 +376,10 @@ def _runner_from_args(args, observer=None):
     """Build the supervised ParallelRunner a sweep subcommand asked for."""
     from repro.parallel import ParallelRunner
 
+    if args.workers < 1:
+        raise SystemExit(f"--workers must be >= 1, got {args.workers}")
+    if args.retries < 0:
+        raise SystemExit(f"--retries must be >= 0, got {args.retries}")
     return ParallelRunner(
         workers=args.workers,
         cache_dir=args.cache_dir,
@@ -409,6 +423,7 @@ def cmd_dataset(args) -> int:
     """Handle ``repro dataset``: build + save a labelled dataset."""
     from repro.selection import build_dataset, save_dataset
 
+    _check_budgets(label_budget=args.label_budget)
     obs = _observer_from_args(args, "dataset")
     runner = _runner_from_args(args, observer=obs)
     dataset = build_dataset(
@@ -452,6 +467,7 @@ def cmd_train(args) -> int:
     from repro.nn import save_module
     from repro.selection import Trainer, build_dataset, load_dataset
 
+    _check_budgets(label_budget=args.label_budget)
     obs = _observer_from_args(args, "train")
     if args.dataset:
         dataset = load_dataset(args.dataset)
@@ -536,6 +552,7 @@ def cmd_bench(args) -> int:
     from repro.bench.runner import run_suite
     from repro.selection.dataset import _instance_pool
 
+    _check_budgets(max_propagations=args.max_propagations)
     obs = _observer_from_args(args, "bench", policy=args.policy)
     runner = _runner_from_args(args, observer=obs)
     pool = _instance_pool(args.year, args.instances, scale=1.0)
@@ -1302,6 +1319,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except DimacsError as exc:
+        raise SystemExit(f"error: {exc}")
     except BrokenPipeError:
         # Downstream pager/head closed the pipe: exit quietly, the
         # standard CLI convention.

@@ -119,30 +119,18 @@ class Linear(Module):
         return out
 
 
-class Sequential(Module):
-    """Apply modules (or plain callables such as activations) in order."""
-
-    def __init__(self, *steps: Callable):
-        self.steps = list(steps)
-
-    def forward(self, x: Tensor) -> Tensor:
-        for step in self.steps:
-            x = step(x)
-        return x
-
-
 def relu(x: Tensor) -> Tensor:
-    """Functional ReLU (for use inside Sequential)."""
+    """Functional ReLU."""
     return x.relu()
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    """Functional sigmoid (for use inside Sequential)."""
+    """Functional sigmoid."""
     return x.sigmoid()
 
 
 def tanh(x: Tensor) -> Tensor:
-    """Functional tanh (for use inside Sequential)."""
+    """Functional tanh."""
     return x.tanh()
 
 
@@ -174,18 +162,3 @@ class MLP(Module):
                 x = self.activation(x)
         return x
 
-
-class LayerNorm(Module):
-    """Per-row layer normalization with learnable scale and shift."""
-
-    def __init__(self, dim: int, eps: float = 1e-5):
-        self.gamma = Tensor(np.ones(dim), requires_grad=True)
-        self.beta = Tensor(np.zeros(dim), requires_grad=True)
-        self.eps = eps
-
-    def forward(self, x: Tensor) -> Tensor:
-        mu = x.mean(axis=-1 if x.ndim > 1 else None, keepdims=True)
-        centered = x - mu
-        var = (centered * centered).mean(axis=-1 if x.ndim > 1 else None, keepdims=True)
-        normed = centered / (var + self.eps).sqrt()
-        return normed * self.gamma + self.beta

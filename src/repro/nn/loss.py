@@ -51,8 +51,3 @@ def bce_with_logits(logit: Tensor, target: float) -> Tensor:
     abs_x = relu_x + (-x).relu()
     return (relu_x - x * target + (1.0 + (-abs_x).exp()).log()).sum()
 
-
-def mse_loss(prediction: Tensor, target: np.ndarray) -> Tensor:
-    """Mean squared error against a constant target array."""
-    diff = prediction - Tensor(np.asarray(target, dtype=np.float64))
-    return (diff * diff).mean()

@@ -1,5 +1,4 @@
-"""Optimizers: SGD with momentum and Adam (the paper trains with Adam,
-learning rate 1e-4, Sec. 5.2)."""
+"""Adam, the paper's optimizer (learning rate 1e-4, Sec. 5.2)."""
 
 from __future__ import annotations
 
@@ -10,50 +9,8 @@ import numpy as np
 from repro.nn.tensor import Tensor
 
 
-class Optimizer:
-    """Base: holds parameters, steps on their ``.grad`` fields."""
-
-    def __init__(self, parameters: List[Tensor]):
-        self.parameters = list(parameters)
-        if not self.parameters:
-            raise ValueError("optimizer got no parameters")
-
-    def zero_grad(self) -> None:
-        for param in self.parameters:
-            param.zero_grad()
-
-    def step(self) -> None:
-        raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(self, parameters: List[Tensor], lr: float = 1e-2, momentum: float = 0.0):
-        super().__init__(parameters)
-        if lr <= 0:
-            raise ValueError("lr must be positive")
-        self.lr = lr
-        self.momentum = momentum
-        self._velocity: Dict[int, np.ndarray] = {}
-
-    def step(self) -> None:
-        for param in self.parameters:
-            if param.grad is None:
-                continue
-            update = param.grad
-            if self.momentum > 0.0:
-                v = self._velocity.get(id(param))
-                if v is None:
-                    v = np.zeros_like(param.data)
-                v = self.momentum * v + update
-                self._velocity[id(param)] = v
-                update = v
-            param.data -= self.lr * update
-
-
-class Adam(Optimizer):
-    """Adam with bias correction (Kingma & Ba)."""
+class Adam:
+    """Adam with bias correction (Kingma & Ba), stepping on ``.grad``."""
 
     def __init__(
         self,
@@ -61,18 +18,22 @@ class Adam(Optimizer):
         lr: float = 1e-4,
         betas: tuple = (0.9, 0.999),
         eps: float = 1e-8,
-        weight_decay: float = 0.0,
     ):
-        super().__init__(parameters)
+        self.parameters = list(parameters)
+        if not self.parameters:
+            raise ValueError("optimizer got no parameters")
         if lr <= 0:
             raise ValueError("lr must be positive")
         self.lr = lr
         self.beta1, self.beta2 = betas
         self.eps = eps
-        self.weight_decay = weight_decay
         self._m: Dict[int, np.ndarray] = {}
         self._v: Dict[int, np.ndarray] = {}
         self._t = 0
+
+    def zero_grad(self) -> None:
+        for param in self.parameters:
+            param.zero_grad()
 
     def step(self) -> None:
         self._t += 1
@@ -83,8 +44,6 @@ class Adam(Optimizer):
             if param.grad is None:
                 continue
             grad = param.grad
-            if self.weight_decay > 0.0:
-                grad = grad + self.weight_decay * param.data
             key = id(param)
             m = self._m.get(key)
             v = self._v.get(key)

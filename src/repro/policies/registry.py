@@ -28,11 +28,6 @@ def get_policy(name: str) -> DeletionPolicy:
     return factory()
 
 
-def policy_for_label(label: int) -> DeletionPolicy:
-    """Policy instance for a classifier label (0 = default, 1 = frequency)."""
-    return get_policy(LABEL_TO_POLICY[int(label)])
-
-
 def policy_names() -> List[str]:
     """Names of every registered deletion policy, sorted."""
     return sorted(POLICY_REGISTRY)

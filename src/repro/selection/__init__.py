@@ -2,11 +2,7 @@
 
 from repro.selection.labeling import (
     PolicyComparison,
-    compare_policies,
-    comparison_from_outcomes,
     label_instances,
-    labeling_tasks,
-    run_policy,
     REDUCTION_THRESHOLD,
 )
 from repro.selection.dataset import (
@@ -34,11 +30,7 @@ from repro.selection.storage import save_dataset, load_dataset
 
 __all__ = [
     "PolicyComparison",
-    "compare_policies",
-    "comparison_from_outcomes",
     "label_instances",
-    "labeling_tasks",
-    "run_policy",
     "REDUCTION_THRESHOLD",
     "LabeledInstance",
     "augment_dataset",

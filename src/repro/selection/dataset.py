@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cnf.formula import CNF
 from repro.cnf.generators import (
@@ -24,7 +23,6 @@ from repro.cnf.generators import (
     pigeonhole,
     random_ksat,
 )
-from repro.graph.bipartite import BipartiteGraph
 from repro.obs.observer import Observer
 from repro.parallel.runner import ParallelRunner
 from repro.selection.labeling import PolicyComparison, label_instances
@@ -125,44 +123,29 @@ def build_dataset(
     max_nodes: int = DEFAULT_MAX_NODES,
     max_conflicts: int = 20_000,
     scale: float = 1.0,
-    workers: int = 1,
-    cache_dir: Optional[Union[str, Path]] = None,
     runner: Optional[ParallelRunner] = None,
-    task_timeout: Optional[float] = None,
-    retries: int = 0,
-    journal: Optional[Union[str, Path]] = None,
     observer: Optional[Observer] = None,
 ) -> PolicyDataset:
     """Generate, filter, and label the full dataset.
 
     This is the expensive step (two solver runs per instance).  Callers
     size it with ``instances_per_year`` and ``max_conflicts``, and scale
-    it with ``workers`` (process fan-out) and ``cache_dir`` (on-disk
-    result cache: rebuilding an already-labelled dataset does zero
-    solver work).  The labels are identical for every worker count —
-    parallelism only reorders execution, never results.
-
-    ``task_timeout`` / ``retries`` / ``journal`` route labelling through
-    the supervised execution layer (see
-    :class:`~repro.parallel.runner.ParallelRunner`): pathological
-    instances time out into label 0 instead of hanging the build, and an
-    interrupted build resumed with the same journal re-solves only the
-    unfinished tasks.
+    it with the ``runner`` (see
+    :class:`~repro.parallel.runner.ParallelRunner`): process fan-out, an
+    on-disk result cache (rebuilding an already-labelled dataset does
+    zero solver work), per-task timeouts into label 0, and a resume
+    journal.  The labels are identical for every runner — it only
+    reorders or skips execution, never changes results.
     """
-    if runner is None:
-        runner = ParallelRunner(
-            workers=workers, cache_dir=cache_dir,
-            task_timeout=task_timeout, retries=retries, journal=journal,
-            observer=observer,
-        )
-
     # Generate and filter every instance first, then label as one batch
     # so the runner sees the full fan-out width.
     entries: List[Tuple[int, str, CNF]] = []
     for year in list(train_years) + [test_year]:
         for family, cnf in _instance_pool(year, instances_per_year, scale):
-            if BipartiteGraph(cnf).num_nodes > max_nodes:
-                continue  # the paper's 400k-node GPU-memory filter
+            # The paper's 400k-node GPU-memory filter; the bipartite
+            # graph has one node per variable and one per clause.
+            if cnf.num_vars + cnf.num_clauses > max_nodes:
+                continue
             entries.append((year, family, cnf))
 
     comparisons = label_instances(

@@ -11,16 +11,13 @@ measure").
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 from repro.cnf.formula import CNF
 from repro.obs.observer import Observer
 from repro.parallel.runner import ParallelRunner, SolveOutcome, SolveTask
-from repro.policies import DefaultPolicy, FrequencyPolicy
-from repro.solver.solver import Solver, SolverConfig, SolveResult
+from repro.solver.solver import SolverConfig
 from repro.solver.types import Status
 
 #: Paper's labelling threshold: >= 2% propagation reduction -> label 1.
@@ -65,129 +62,29 @@ class PolicyComparison:
         return 1.0 - self.frequency_propagations / self.default_propagations
 
 
-def run_policy(
-    cnf: CNF,
-    policy_name: str,
-    max_conflicts: Optional[int] = None,
-    max_propagations: Optional[int] = None,
-    config: Optional[SolverConfig] = None,
-) -> SolveResult:
-    """Solve one instance under a named deletion policy."""
-    policy = FrequencyPolicy() if policy_name == "frequency" else DefaultPolicy()
-    solver = Solver(cnf, policy=policy, config=config or default_labeling_config())
-    return solver.solve(
-        max_conflicts=max_conflicts, max_propagations=max_propagations
-    )
-
-
-def compare_policies(
-    cnf: CNF,
-    max_conflicts: Optional[int] = 20_000,
-    max_propagations: Optional[int] = None,
-    threshold: float = REDUCTION_THRESHOLD,
-    config: Optional[SolverConfig] = None,
-) -> PolicyComparison:
-    """Run both policies and derive the Sec. 5.1 label.
-
-    Instances that neither policy decides within budget get label 0 (the
-    safe default — keep Kissat's stock policy), mirroring the paper's
-    treatment of its unsolved training instances.
-    """
-    config = config or default_labeling_config()
-    start = time.perf_counter()
-    default_result = run_policy(
-        cnf, "default", max_conflicts=max_conflicts,
-        max_propagations=max_propagations, config=config,
-    )
-    default_wall = time.perf_counter() - start
-    start = time.perf_counter()
-    frequency_result = run_policy(
-        cnf, "frequency", max_conflicts=max_conflicts,
-        max_propagations=max_propagations, config=config,
-    )
-    frequency_wall = time.perf_counter() - start
-    return _derive_comparison(
-        default_result.status,
-        frequency_result.status,
-        default_result.stats.propagations,
-        frequency_result.stats.propagations,
-        threshold,
-        default_wall_seconds=default_wall,
-        frequency_wall_seconds=frequency_wall,
-    )
-
-
 def _derive_comparison(
-    default_status: Status,
-    frequency_status: Status,
-    default_propagations: int,
-    frequency_propagations: int,
-    threshold: float,
-    default_wall_seconds: float = 0.0,
-    frequency_wall_seconds: float = 0.0,
+    default: SolveOutcome, frequency: SolveOutcome, threshold: float
 ) -> PolicyComparison:
-    """The Sec. 5.1 labelling rule, shared by serial and parallel paths."""
-    d = default_propagations
-    f = frequency_propagations
+    """The Sec. 5.1 labelling rule applied to one instance's two runs."""
+    d = default.propagations
+    f = frequency.propagations
     # ``decided`` means SAT/UNSAT: a budget-UNKNOWN or a supervision
     # failure (TIMEOUT / ERROR / MEMOUT) contributes no evidence, and an
     # instance with no decided run keeps the safe label 0.  A failed run
     # also reports zero effort, which would fake a 100% reduction — any
     # failure on either side therefore forces the safe label too.
-    decided = default_status.decided or frequency_status.decided
-    comparable = not (default_status.failed or frequency_status.failed)
+    decided = default.status.decided or frequency.status.decided
+    comparable = not (default.status.failed or frequency.status.failed)
     label = 1 if (decided and comparable and d > 0 and (d - f) / d >= threshold) else 0
     return PolicyComparison(
-        default_result_status=default_status,
-        frequency_result_status=frequency_status,
+        default_result_status=default.status,
+        frequency_result_status=frequency.status,
         default_propagations=d,
         frequency_propagations=f,
         label=label,
-        default_wall_seconds=default_wall_seconds,
-        frequency_wall_seconds=frequency_wall_seconds,
+        default_wall_seconds=default.wall_seconds,
+        frequency_wall_seconds=frequency.wall_seconds,
     )
-
-
-def comparison_from_outcomes(
-    default_outcome: SolveOutcome,
-    frequency_outcome: SolveOutcome,
-    threshold: float = REDUCTION_THRESHOLD,
-) -> PolicyComparison:
-    """Build the label from two :class:`SolveOutcome` records."""
-    return _derive_comparison(
-        default_outcome.status,
-        frequency_outcome.status,
-        default_outcome.propagations,
-        frequency_outcome.propagations,
-        threshold,
-        default_wall_seconds=default_outcome.wall_seconds,
-        frequency_wall_seconds=frequency_outcome.wall_seconds,
-    )
-
-
-def labeling_tasks(
-    cnfs: Sequence[CNF],
-    max_conflicts: Optional[int] = 20_000,
-    max_propagations: Optional[int] = None,
-    config: Optional[SolverConfig] = None,
-) -> List[SolveTask]:
-    """Both-policy task list for a batch of instances (default, frequency,
-    default, frequency, ... — two consecutive tasks per instance)."""
-    config = config or default_labeling_config()
-    tasks: List[SolveTask] = []
-    for index, cnf in enumerate(cnfs):
-        for policy in ("default", "frequency"):
-            tasks.append(
-                SolveTask(
-                    cnf=cnf,
-                    policy=policy,
-                    config=config,
-                    max_conflicts=max_conflicts,
-                    max_propagations=max_propagations,
-                    tag=f"label-{index:05d}",
-                )
-            )
-    return tasks
 
 
 def label_instances(
@@ -197,44 +94,37 @@ def label_instances(
     threshold: float = REDUCTION_THRESHOLD,
     config: Optional[SolverConfig] = None,
     runner: Optional[ParallelRunner] = None,
-    workers: int = 1,
-    cache_dir: Optional[Union[str, Path]] = None,
-    task_timeout: Optional[float] = None,
-    retries: int = 0,
-    journal: Optional[Union[str, Path]] = None,
     observer: Optional[Observer] = None,
 ) -> List[PolicyComparison]:
-    """Dual-policy labelling of a batch, fanned out across cores.
+    """Dual-policy labelling of a batch: the one labelling entry point.
 
-    The scaling path of Sec. 5.1: every instance is solved once per
-    deletion policy (2N tasks), the runner spreads the tasks over
-    ``workers`` processes, and any task already present in the
-    ``cache_dir`` result cache is not re-solved.  With ``workers=1`` and
-    no cache this is exactly ``[compare_policies(c) for c in cnfs]``.
-
-    ``task_timeout`` / ``retries`` / ``journal`` enable the supervised
-    execution layer: a hung or crashed solve becomes a failed outcome
-    (and the safe label 0) instead of stalling or aborting the sweep,
-    and re-running with the same ``journal`` path resumes an
-    interrupted sweep without re-solving finished tasks.
+    Every instance is solved once per deletion policy (2N tasks, default
+    then frequency) on one shared config, and the ``runner`` executes
+    them — a plain in-process ``ParallelRunner()`` when none is given.
+    The runner decides only how the tasks execute (worker processes,
+    result cache, resume journal); a solve it times out or loses to a
+    crash becomes a failed outcome and the safe label 0.
     """
     if runner is None:
-        runner = ParallelRunner(
-            workers=workers, cache_dir=cache_dir,
-            task_timeout=task_timeout, retries=retries, journal=journal,
-            observer=observer,
-        )
+        runner = ParallelRunner(observer=observer)
     observer = observer if observer is not None else runner.observer
-    tasks = labeling_tasks(
-        cnfs, max_conflicts=max_conflicts,
-        max_propagations=max_propagations, config=config,
-    )
+    config = config or default_labeling_config()
+    tasks = [
+        SolveTask(
+            cnf=cnf,
+            policy=policy,
+            config=config,
+            max_conflicts=max_conflicts,
+            max_propagations=max_propagations,
+            tag=f"label-{index:05d}",
+        )
+        for index, cnf in enumerate(cnfs)
+        for policy in ("default", "frequency")
+    ]
     outcomes = runner.run(tasks)
     comparisons: List[PolicyComparison] = []
     for i in range(0, len(outcomes), 2):
-        comparison = comparison_from_outcomes(
-            outcomes[i], outcomes[i + 1], threshold
-        )
+        comparison = _derive_comparison(outcomes[i], outcomes[i + 1], threshold)
         comparisons.append(comparison)
         observer.event(
             "label",

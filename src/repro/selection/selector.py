@@ -12,13 +12,50 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.cnf.formula import CNF
 from repro.graph.bipartite import BipartiteGraph
-from repro.policies.registry import policy_for_label
+from repro.policies.registry import LABEL_TO_POLICY, get_policy
 from repro.selection.dataset import DEFAULT_MAX_NODES
 from repro.solver.solver import Solver, SolverConfig, SolveResult
+
+
+@dataclass(frozen=True)
+class DecisionRule:
+    """How every selector turns a formula's probability into a policy.
+
+    The one-shot :class:`NeuroSelectSolver`, the drift-gated
+    :class:`~repro.selection.session.SelectorSession` and the served
+    :class:`~repro.serve.batcher.InferenceBatcher` all decide through
+    this rule: a graph above ``max_nodes`` skips inference, no forward
+    pass means label 0 (the default policy), and otherwise the label is
+    ``probability >= threshold``.
+    """
+
+    threshold: float
+    max_nodes: int
+
+    @classmethod
+    def for_model(
+        cls, model, threshold: Optional[float] = None,
+        max_nodes: int = DEFAULT_MAX_NODES,
+    ) -> "DecisionRule":
+        """The rule at ``threshold``, else at the threshold calibrated
+        during training when the model carries one (set by
+        ``Trainer.fit``), else 0.5."""
+        if threshold is None:
+            threshold = getattr(model, "decision_threshold", 0.5)
+        return cls(threshold, max_nodes)
+
+    def admits(self, graph: BipartiteGraph) -> bool:
+        """Whether ``graph`` is within the node cap (worth a forward pass)."""
+        return graph.num_nodes <= self.max_nodes
+
+    def decide(self, probability: Optional[float]) -> Tuple[int, str]:
+        """``(label, policy name)``; ``None`` (no forward pass) is label 0."""
+        label = 0 if probability is None else int(probability >= self.threshold)
+        return label, LABEL_TO_POLICY[label]
 
 
 @dataclass
@@ -47,23 +84,20 @@ class NeuroSelectSolver:
         threshold: Optional[float] = None,
     ):
         self.model = model
-        self.max_nodes = max_nodes
         self.config = config
-        # Default to the threshold calibrated during training when the
-        # model carries one (set by Trainer.fit), else 0.5.
-        if threshold is None:
-            threshold = getattr(model, "decision_threshold", 0.5)
-        self.threshold = threshold
+        self.rule = DecisionRule.for_model(model, threshold, max_nodes)
 
     def select_policy(self, cnf: CNF):
         """Model inference only; returns (label, policy, seconds, used_model)."""
         graph = BipartiteGraph(cnf)
-        if graph.num_nodes > self.max_nodes:
-            return 0, policy_for_label(0), 0.0, False
+        if not self.rule.admits(graph):
+            label, name = self.rule.decide(None)
+            return label, get_policy(name), 0.0, False
         start = time.perf_counter()
-        label = self.model.predict(graph, threshold=self.threshold)
+        probability = self.model.predict_proba(graph)
         elapsed = time.perf_counter() - start
-        return label, policy_for_label(label), elapsed, True
+        label, name = self.rule.decide(probability)
+        return label, get_policy(name), elapsed, True
 
     def solve(
         self,

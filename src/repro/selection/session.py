@@ -40,8 +40,8 @@ from repro.cnf.features import extract_features
 from repro.cnf.formula import CNF
 from repro.graph.bipartite import BipartiteGraph
 from repro.obs.observer import NULL_OBSERVER, Observer
-from repro.policies.registry import LABEL_TO_POLICY
 from repro.selection.dataset import DEFAULT_MAX_NODES
+from repro.selection.selector import DecisionRule
 
 #: Relative per-dimension drift tolerated before re-embedding.
 DEFAULT_DRIFT_THRESHOLD = 0.1
@@ -100,10 +100,7 @@ class SelectorSession:
             raise ValueError("drift_threshold must be >= 0")
         self.model = model
         self.drift_threshold = drift_threshold
-        self.max_nodes = max_nodes
-        if threshold is None:
-            threshold = getattr(model, "decision_threshold", 0.5)
-        self.threshold = threshold
+        self.rule = DecisionRule.for_model(model, threshold, max_nodes)
         self.observer = observer
         self.id = session_id or new_session_id()
         #: Forward passes actually performed for this session.
@@ -156,20 +153,12 @@ class SelectorSession:
 
     def _classify(self, cnf: CNF, distance: float) -> SessionSelection:
         """Run (or skip, per the node cap) one real forward pass."""
-        if self.model is None:
+        graph = BipartiteGraph(cnf) if self.model is not None else None
+        if graph is None or not self.rule.admits(graph):
+            label, policy = self.rule.decide(None)
             return SessionSelection(
-                label=0,
-                policy=LABEL_TO_POLICY[0],
-                probability=None,
-                reused=False,
-                distance=distance,
-                used_model=False,
-            )
-        graph = BipartiteGraph(cnf)
-        if graph.num_nodes > self.max_nodes:
-            return SessionSelection(
-                label=0,
-                policy=LABEL_TO_POLICY[0],
+                label=label,
+                policy=policy,
                 probability=None,
                 reused=False,
                 distance=distance,
@@ -179,10 +168,10 @@ class SelectorSession:
         probability = float(self.model.predict_proba(graph))
         elapsed = time.perf_counter() - start
         self.inference_passes += 1
-        label = int(probability >= self.threshold)
+        label, policy = self.rule.decide(probability)
         return SessionSelection(
             label=label,
-            policy=LABEL_TO_POLICY[label],
+            policy=policy,
             probability=probability,
             reused=False,
             distance=distance,

@@ -15,7 +15,6 @@ from typing import List, Optional, Sequence
 from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.nn.loss import bce_with_logits
 from repro.nn.optim import Adam
-from repro.nn.schedulers import CosineAnnealingLR, EarlyStopping, Scheduler, StepLR
 from repro.selection.dataset import LabeledInstance
 from repro.selection.metrics import ClassificationMetrics, classification_metrics
 
@@ -40,42 +39,15 @@ class Trainer:
         model,
         learning_rate: float = 1e-4,
         epochs: int = 400,
-        shuffle_seed: int = 0,
-        class_balance: bool = True,
-        scheduler: Optional[str] = None,
-        early_stopping_patience: Optional[int] = None,
-        batch_size: int = 1,
         observer: Optional[Observer] = None,
     ):
         self.model = model
         self.observer = observer if observer is not None else NULL_OBSERVER
         self.optimizer = Adam(model.parameters(), lr=learning_rate)
         self.epochs = epochs
-        self.shuffle_seed = shuffle_seed
-        self.class_balance = class_balance
         #: Decision threshold used by :meth:`evaluate`; recalibrated on the
         #: training split at the end of :meth:`fit`.
         self.threshold = 0.5
-        if scheduler is None:
-            self.scheduler: Optional[Scheduler] = None
-        elif scheduler == "cosine":
-            self.scheduler = CosineAnnealingLR(self.optimizer, total_epochs=epochs)
-        elif scheduler == "step":
-            self.scheduler = StepLR(self.optimizer, step_size=max(1, epochs // 4))
-        else:
-            raise ValueError(f"unknown scheduler {scheduler!r} (cosine|step)")
-        self.early_stopping = (
-            EarlyStopping(patience=early_stopping_patience)
-            if early_stopping_patience
-            else None
-        )
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if batch_size > 1 and not hasattr(model, "forward_batch"):
-            raise ValueError(
-                f"{type(model).__name__} has no batched forward; use batch_size=1"
-            )
-        self.batch_size = batch_size
 
     def fit(
         self,
@@ -85,10 +57,11 @@ class Trainer:
     ) -> TrainingHistory:
         """Train; returns the loss/accuracy history.
 
-        Graphs are encoded once up front.  With ``class_balance``, each
-        example's loss is weighted inversely to its class frequency —
-        synthetic datasets are rarely 50/50 and an unweighted model
-        otherwise collapses to the majority label.
+        Graphs are encoded once up front, and the visiting order is
+        reshuffled every epoch from a fixed seed.  Each example's loss is
+        weighted inversely to its class frequency — synthetic datasets
+        are rarely 50/50 and an unweighted model otherwise collapses to
+        the majority label.
         """
         if not instances:
             raise ValueError("cannot train on an empty dataset")
@@ -100,7 +73,7 @@ class Trainer:
         labels = [inst.label for inst in instances]
         weights = self._weights(labels)
         order = list(range(len(instances)))
-        rng = random.Random(self.shuffle_seed)
+        rng = random.Random(0)
         history = TrainingHistory()
         obs = self.observer
         obs.event(
@@ -108,41 +81,21 @@ class Trainer:
             model=type(self.model).__name__,
             instances=len(instances),
             epochs=self.epochs,
-            batch_size=self.batch_size,
         )
 
         for epoch in range(self.epochs):
             rng.shuffle(order)
             total_loss = 0.0
             correct = 0
-            if self.batch_size == 1:
-                for i in order:
-                    self.optimizer.zero_grad()
-                    logit = self.model(graphs[i])
-                    loss = bce_with_logits(logit, labels[i]) * weights[i]
-                    loss.backward()
-                    self.optimizer.step()
-                    total_loss += loss.item()
-                    prediction = 1 if float(logit.data.ravel()[0]) >= 0.0 else 0
-                    correct += prediction == labels[i]
-            else:
-                from repro.graph.batching import batch_graphs
-
-                for start in range(0, len(order), self.batch_size):
-                    chunk = order[start : start + self.batch_size]
-                    batch = batch_graphs([graphs[i] for i in chunk])
-                    self.optimizer.zero_grad()
-                    logits = self.model.forward_batch(batch)
-                    loss = None
-                    for row, i in enumerate(chunk):
-                        member = bce_with_logits(logits[row], labels[i]) * weights[i]
-                        loss = member if loss is None else loss + member
-                        raw = float(logits.data[row].ravel()[0])
-                        correct += (1 if raw >= 0.0 else 0) == labels[i]
-                    loss = loss * (1.0 / len(chunk))
-                    loss.backward()
-                    self.optimizer.step()
-                    total_loss += loss.item() * len(chunk)
+            for i in order:
+                self.optimizer.zero_grad()
+                logit = self.model(graphs[i])
+                loss = bce_with_logits(logit, labels[i]) * weights[i]
+                loss.backward()
+                self.optimizer.step()
+                total_loss += loss.item()
+                prediction = 1 if float(logit.data.ravel()[0]) >= 0.0 else 0
+                correct += prediction == labels[i]
             history.losses.append(total_loss / len(order))
             history.accuracies.append(correct / len(order))
             if obs.enabled:
@@ -152,7 +105,7 @@ class Trainer:
                     loss=round(history.losses[-1], 6),
                     accuracy=round(history.accuracies[-1], 6),
                     grad_norm=round(self._grad_norm(), 6),
-                    lr=getattr(self.optimizer, "lr", 0.0),
+                    lr=self.optimizer.lr,
                 )
                 obs.histogram("trainer.epoch_loss").observe(history.losses[-1])
             if log_every and (epoch + 1) % log_every == 0:
@@ -164,12 +117,6 @@ class Trainer:
                 if validation:
                     msg += f" val_acc={self.evaluate(validation).accuracy:.3f}"
                 print(msg)
-            if self.scheduler is not None:
-                self.scheduler.step()
-            if self.early_stopping is not None and self.early_stopping.update(
-                history.losses[-1]
-            ):
-                break
         self.calibrate_threshold(instances, mode="balanced")
         obs.event(
             "train-end",
@@ -288,8 +235,6 @@ class Trainer:
         return self.threshold
 
     def _weights(self, labels: Sequence[int]) -> List[float]:
-        if not self.class_balance:
-            return [1.0] * len(labels)
         positives = sum(labels)
         negatives = len(labels) - positives
         if positives == 0 or negatives == 0:

@@ -54,8 +54,8 @@ from repro.graph.batching import batch_graphs
 from repro.graph.bipartite import BipartiteGraph
 from repro.obs.metrics import BATCH_BUCKETS
 from repro.obs.observer import NULL_OBSERVER, Observer
-from repro.policies.registry import LABEL_TO_POLICY
 from repro.selection.dataset import DEFAULT_MAX_NODES
+from repro.selection.selector import DecisionRule
 
 
 @dataclass
@@ -119,10 +119,7 @@ class InferenceBatcher:
         self.model = model
         self.max_batch = max_batch
         self.flush_window = flush_window
-        self.max_nodes = max_nodes
-        if threshold is None:
-            threshold = getattr(model, "decision_threshold", 0.5)
-        self.threshold = threshold
+        self.rule = DecisionRule.for_model(model, threshold, max_nodes)
         #: Optional :class:`~repro.serve.resilience.CircuitBreaker`
         #: guarding the forward pass (None: no guard, zero overhead).
         self.breaker = breaker
@@ -146,6 +143,11 @@ class InferenceBatcher:
         self._batch_hist = observer.histogram(
             "serve.batch_size", BATCH_BUCKETS
         )
+
+    @property
+    def threshold(self) -> float:
+        """The decision threshold in force (see :class:`DecisionRule`)."""
+        return self.rule.threshold
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -274,9 +276,10 @@ class InferenceBatcher:
         """Default-policy choice for a request that skipped inference."""
         if degraded:
             self.degraded += 1
+        label, policy = self.rule.decide(None)
         return PolicyChoice(
-            label=0,
-            policy=LABEL_TO_POLICY[0],
+            label=label,
+            policy=policy,
             probability=None,
             used_model=False,
             batch_size=batch_size,
@@ -313,7 +316,7 @@ class InferenceBatcher:
             [
                 i
                 for i, g in enumerate(graphs)
-                if g.num_nodes <= self.max_nodes
+                if self.rule.admits(g)
             ]
             if graphs is not None
             else []
@@ -389,10 +392,10 @@ class InferenceBatcher:
                     inference_seconds=inference_seconds,
                 )
             else:
-                label = int(probability >= self.threshold)
+                label, policy = self.rule.decide(probability)
                 choice = PolicyChoice(
                     label=label,
-                    policy=LABEL_TO_POLICY[label],
+                    policy=policy,
                     probability=probability,
                     used_model=True,
                     batch_size=len(live),

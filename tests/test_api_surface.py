@@ -60,3 +60,38 @@ def test_public_classes_and_functions_documented(module_name):
 
 def test_version_string():
     assert repro.__version__.count(".") == 2
+
+
+def _documented_imports():
+    """``(doc, module, name)`` for every ``from repro... import name`` in a
+    ``python`` code block of README.md, DESIGN.md and docs/*.md."""
+    import re
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    block = re.compile(r"^```python\n(.*?)^```", re.M | re.S)
+    statement = re.compile(
+        r"^\s*from\s+(repro[\w.]*)\s+import\s+(\([^)]*\)|[^\n]+)", re.M
+    )
+    docs = [root / "README.md", root / "DESIGN.md", *sorted(root.glob("docs/*.md"))]
+    found = []
+    for doc in docs:
+        for code in block.findall(doc.read_text(encoding="utf-8")):
+            for module, names in statement.findall(code):
+                names = re.sub(r"#[^\n]*", "", names).strip("()")
+                for name in names.split(","):
+                    name = name.split(" as ")[0].strip()
+                    if name:
+                        found.append((doc.name, module, name))
+    return found
+
+
+def test_documented_imports_resolve():
+    found = _documented_imports()
+    assert found, "no documented imports found"
+    missing = [
+        f"{doc}: from {module} import {name}"
+        for doc, module, name in found
+        if not hasattr(importlib.import_module(module), name)
+    ]
+    assert not missing, missing

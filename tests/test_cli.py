@@ -71,6 +71,41 @@ class TestSolve:
         assert named in message
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["label", "{cnf}", "--max-conflicts", "-1"], "--max-conflicts"),
+    (["dataset", "--out", "{out}", "--per-year", "1", "--label-budget", "-1"],
+     "--label-budget"),
+    (["train", "--out", "{out}", "--per-year", "1", "--epochs", "1",
+      "--label-budget", "-1"], "--label-budget"),
+    (["bench", "--instances", "1", "--max-propagations", "-5"],
+     "--max-propagations"),
+    (["bench", "--instances", "1", "--workers", "0"], "--workers"),
+    (["dataset", "--out", "{out}", "--per-year", "1", "--retries", "-1"],
+     "--retries"),
+], ids=["label-budget", "dataset-budget", "train-budget", "bench-budget",
+        "zero-workers", "negative-retries"])
+def test_sweep_numbers_rejected_in_one_line(sat_file, tmp_path, argv, named):
+    argv = [a.format(cnf=sat_file, out=tmp_path / "out") for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    message = exc.value.code
+    assert isinstance(message, str) and "\n" not in message
+    assert message.startswith(named)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["features", "label", "solve", "select",
+                                     "trim"])
+def test_malformed_dimacs_is_one_line_error(tmp_path, command):
+    path = tmp_path / "bad.cnf"
+    path.write_text("p cnf 2 1\n1 x 0\n")
+    extra = {"select": ["--weights", str(tmp_path / "w.npz")],
+             "trim": ["--out", str(tmp_path / "p.drat")]}.get(command, [])
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(path), *extra])
+    assert exc.value.code == "error: line 2: bad token 'x'"
+
+
 def test_docstring_lists_exactly_the_registered_subcommands():
     (subparsers,) = [
         action for action in repro.cli.build_parser()._actions

@@ -1,4 +1,5 @@
-"""Frozen-reference logits for the HGT forward pass.
+"""Frozen-reference logits for the HGT forward pass, and a frozen
+training run.
 
 ``tests/data/hgt_reference_logits.json`` holds the logits of a seeded
 ``NeuroSelect(hidden_dim=32, seed=0)`` on seeded graphs of the three
@@ -8,6 +9,11 @@ of 16.  The batched-vs-single equality tests in ``test_batching.py``
 compare two paths of the same code; this file pins both to numbers
 recorded before the forward pass was last optimised, so a change that
 moves the batched and single-graph paths together still fails here.
+
+The ``"training"`` entry pins one short ``Trainer`` fit (per-epoch loss
+and accuracy, then the calibrated threshold) on a fixed toy set, so a
+change to the training loop, the optimizer or the class weights that
+moves any of those numbers fails here too.
 
 Regenerate (only after an intended change to the model's numbers) with
 ``PYTHONPATH=src python tests/test_hgt_reference.py``.
@@ -22,6 +28,8 @@ import pytest
 from repro.cnf import graph_coloring, pigeonhole, random_ksat, rename_variables
 from repro.graph import BipartiteGraph, batch_graphs
 from repro.models import NeuroSelect
+from repro.selection import Trainer
+from tests.conftest import make_labeled
 
 REFERENCE = Path(__file__).parent / "data" / "hgt_reference_logits.json"
 
@@ -55,6 +63,27 @@ def compute_logits(name: str):
     return [float(x) for x in model.forward_batch(batch_graphs(graphs)).data.ravel()]
 
 
+def compute_training():
+    """Fit a small NeuroSelect on six 3-SAT formulas, two labelled 1."""
+    instances = [
+        make_labeled(random_ksat(20 + 2 * i, 85 + 9 * i, seed=i), int(i % 3 == 0))
+        for i in range(6)
+    ]
+    trainer = Trainer(NeuroSelect(hidden_dim=8, seed=0), learning_rate=5e-3, epochs=3)
+    history = trainer.fit(instances)
+    return {
+        "losses": history.losses,
+        "accuracies": history.accuracies,
+        "threshold": trainer.threshold,
+    }
+
+
+def compute_reference():
+    reference = {name: compute_logits(name) for name in CASES}
+    reference["training"] = compute_training()
+    return reference
+
+
 @pytest.fixture(scope="module")
 def reference():
     return json.loads(REFERENCE.read_text())
@@ -67,14 +96,21 @@ def test_logits_match_frozen_reference(reference, name):
     )
 
 
+def test_training_matches_frozen_reference(reference):
+    expected = reference["training"]
+    actual = compute_training()
+    for key in ("losses", "accuracies", "threshold"):
+        np.testing.assert_allclose(actual[key], expected[key], rtol=0, atol=1e-12)
+
+
 def test_reference_covers_every_case(reference):
-    assert sorted(reference) == sorted(CASES)
+    assert sorted(reference) == sorted([*CASES, "training"])
+    assert len(reference["training"]["losses"]) == 3
     assert [len(reference[k]) for k in ("single", "batch4", "batch16")] == [3, 4, 16]
 
 
 if __name__ == "__main__":
     REFERENCE.write_text(
-        json.dumps({name: compute_logits(name) for name in sorted(CASES)}, indent=1)
-        + "\n"
+        json.dumps(compute_reference(), indent=1, sort_keys=True) + "\n"
     )
     print(f"wrote {REFERENCE}")

@@ -18,9 +18,10 @@ from repro.parallel import (
     execute_task,
     solve_cache_key,
 )
-from repro.selection import compare_policies, label_instances
-from repro.selection.labeling import default_labeling_config
-from repro.solver import Status
+from repro.policies import get_policy
+from repro.selection import label_instances
+from repro.selection.labeling import REDUCTION_THRESHOLD, default_labeling_config
+from repro.solver import Solver, Status
 
 
 def make_tasks(count=4, seed_base=10, policy="default"):
@@ -174,25 +175,31 @@ class TestParallelRunner:
 
 
 class TestLabelingIntegration:
-    def test_label_instances_matches_compare_policies(self):
+    def test_label_instances_matches_direct_solves(self):
         cnfs = [random_ksat(40, 170, seed=s) for s in (7, 8, 9)]
-        serial = [compare_policies(c, max_conflicts=600) for c in cnfs]
-        batched = label_instances(cnfs, max_conflicts=600, workers=1)
-        assert [c.label for c in batched] == [c.label for c in serial]
-        assert [c.default_propagations for c in batched] == [
-            c.default_propagations for c in serial
-        ]
-        assert [c.frequency_propagations for c in batched] == [
-            c.frequency_propagations for c in serial
-        ]
+        batched = label_instances(cnfs, max_conflicts=600)
+        for cnf, comparison in zip(cnfs, batched):
+            default, frequency = (
+                Solver(cnf, get_policy(policy), config=default_labeling_config())
+                .solve(max_conflicts=600)
+                for policy in ("default", "frequency")
+            )
+            assert comparison.default_result_status is default.status
+            assert comparison.frequency_result_status is frequency.status
+            assert comparison.default_propagations == default.stats.propagations
+            assert comparison.frequency_propagations == frequency.stats.propagations
+            d, f = default.stats.propagations, frequency.stats.propagations
+            assert default.status.decided
+            assert comparison.label == int((d - f) / d >= REDUCTION_THRESHOLD)
 
     def test_label_instances_parallel_and_cached(self, tmp_path):
         cnfs = [random_ksat(40, 170, seed=s) for s in (21, 22, 23, 24)]
         cache_dir = tmp_path / "labels"
         parallel = label_instances(
-            cnfs, max_conflicts=600, workers=4, cache_dir=cache_dir
+            cnfs, max_conflicts=600,
+            runner=ParallelRunner(workers=4, cache_dir=cache_dir),
         )
-        serial = label_instances(cnfs, max_conflicts=600, workers=1)
+        serial = label_instances(cnfs, max_conflicts=600)
         assert [c.label for c in parallel] == [c.label for c in serial]
 
         runner = ParallelRunner(workers=1, cache_dir=cache_dir)
@@ -207,7 +214,10 @@ class TestDatasetAndSuiteIntegration:
         from repro.selection import build_dataset
 
         serial = build_dataset(instances_per_year=2, max_conflicts=300)
-        parallel = build_dataset(instances_per_year=2, max_conflicts=300, workers=2)
+        parallel = build_dataset(
+            instances_per_year=2, max_conflicts=300,
+            runner=ParallelRunner(workers=2),
+        )
         assert [i.label for i in serial.all_instances()] == [
             i.label for i in parallel.all_instances()
         ]
@@ -222,7 +232,7 @@ class TestDatasetAndSuiteIntegration:
         serial = run_suite(cnfs, "default", max_propagations=20_000)
         parallel = run_suite(
             cnfs, "default", max_propagations=20_000,
-            workers=3, cache_dir=tmp_path / "suite",
+            runner=ParallelRunner(workers=3, cache_dir=tmp_path / "suite"),
         )
         assert [r.status for r in serial] == [r.status for r in parallel]
         assert [r.propagations for r in serial] == [r.propagations for r in parallel]

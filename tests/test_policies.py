@@ -13,7 +13,7 @@ from repro.policies import (
     pack_fields,
     policy_names,
 )
-from repro.policies.registry import LABEL_TO_POLICY, policy_for_label
+from repro.policies.registry import LABEL_TO_POLICY
 from repro.policies.score import FREQUENCY_FIRST_LAYOUT, ScoreLayout, clamp
 from repro.solver.arena import ClauseArena
 
@@ -180,5 +180,4 @@ class TestRegistry:
     def test_label_mapping_matches_paper(self):
         # Sec 5.1: label 1 <=> new (frequency) policy wins.
         assert LABEL_TO_POLICY == {0: "default", 1: "frequency"}
-        assert policy_for_label(0).name == "default"
-        assert policy_for_label(1).name == "frequency"
+        assert get_policy(LABEL_TO_POLICY[1]).name == "frequency"

@@ -11,9 +11,8 @@ from repro.selection import (
     Trainer,
     build_dataset,
     classification_metrics,
-    compare_policies,
     dataset_statistics,
-    run_policy,
+    label_instances,
 )
 from repro.selection.dataset import LabeledInstance, _instance_pool
 from repro.selection.labeling import REDUCTION_THRESHOLD, default_labeling_config
@@ -23,14 +22,8 @@ from tests.conftest import make_labeled
 
 
 class TestLabeling:
-    def test_run_policy_names(self, medium_sat_cnf):
-        d = run_policy(medium_sat_cnf, "default", max_conflicts=2000)
-        f = run_policy(medium_sat_cnf, "frequency", max_conflicts=2000)
-        assert d.policy_name == "default"
-        assert f.policy_name == "frequency"
-
-    def test_compare_policies_fields(self, medium_sat_cnf):
-        comparison = compare_policies(medium_sat_cnf, max_conflicts=2000)
+    def test_label_instances_fields(self, medium_sat_cnf):
+        [comparison] = label_instances([medium_sat_cnf], max_conflicts=2000)
         assert comparison.default_propagations > 0
         assert comparison.frequency_propagations > 0
         assert comparison.label in (0, 1)
@@ -55,14 +48,14 @@ class TestLabeling:
     def test_label_zero_when_both_unknown(self):
         # Hard instance, tiny budget: both runs time out -> safe label 0.
         cnf = random_ksat(150, 645, seed=0)
-        comparison = compare_policies(cnf, max_conflicts=5)
+        [comparison] = label_instances([cnf], max_conflicts=5)
         assert comparison.default_result_status is Status.UNKNOWN
         assert comparison.frequency_result_status is Status.UNKNOWN
         assert comparison.label == 0
 
     def test_deterministic(self, medium_sat_cnf):
-        a = compare_policies(medium_sat_cnf, max_conflicts=2000)
-        b = compare_policies(medium_sat_cnf, max_conflicts=2000)
+        a = label_instances([medium_sat_cnf], max_conflicts=2000)
+        b = label_instances([medium_sat_cnf], max_conflicts=2000)
         assert a == b
 
     def test_labeling_config_shape(self):
@@ -182,7 +175,7 @@ class TestTrainer:
             Trainer(NeuroSelect(hidden_dim=8)).fit([])
 
     def test_class_weights_balance(self):
-        trainer = Trainer(NeuroSelect(hidden_dim=8), class_balance=True)
+        trainer = Trainer(NeuroSelect(hidden_dim=8))
         weights = trainer._weights([1, 0, 0, 0])
         assert weights[0] == pytest.approx(2.0)
         assert weights[1] == pytest.approx(2 / 3)
@@ -225,37 +218,6 @@ class TestSelector:
         always_frequency = NeuroSelectSolver(model, threshold=-0.1)
         assert always_default.solve(medium_sat_cnf, max_conflicts=10).policy_name == "default"
         assert always_frequency.solve(medium_sat_cnf, max_conflicts=10).policy_name == "frequency"
-
-
-class TestBatchedTraining:
-    @pytest.fixture
-    def toy(self):
-        sparse = [make_labeled(random_ksat(12, 24, seed=s), 0) for s in range(3)]
-        dense = [make_labeled(random_ksat(12, 60, seed=s), 1) for s in range(3)]
-        return sparse + dense
-
-    def test_batched_fit_learns(self, toy):
-        model = NeuroSelect(hidden_dim=8, seed=0)
-        trainer = Trainer(model, learning_rate=5e-3, epochs=30, batch_size=3)
-        history = trainer.fit(toy)
-        assert history.final_loss < history.losses[0]
-        assert trainer.evaluate(toy).accuracy >= 0.8
-
-    def test_invalid_batch_size(self):
-        with pytest.raises(ValueError):
-            Trainer(NeuroSelect(hidden_dim=8), batch_size=0)
-
-    def test_model_without_batched_forward_rejected(self):
-        from repro.models import NeuroSATClassifier
-
-        with pytest.raises(ValueError, match="batched forward"):
-            Trainer(NeuroSATClassifier(hidden_dim=8), batch_size=4)
-
-    def test_last_partial_batch_handled(self, toy):
-        model = NeuroSelect(hidden_dim=8, seed=0)
-        trainer = Trainer(model, learning_rate=5e-3, epochs=2, batch_size=4)
-        history = trainer.fit(toy)  # 6 instances -> batches of 4 and 2
-        assert len(history.losses) == 2
 
 
 class TestAugmentDataset:
