@@ -6,7 +6,7 @@ running ``repro serve``), then shows the two client modes:
 * a **concurrent burst** of held (``wait=true``) requests — they land
   inside one flush window, so the service classifies all of them with
   fewer HGT forward passes than requests (the amortization the service
-  exists for, read back from ``/metrics``);
+  exists for, read back from ``/healthz``);
 * a **fire-and-forget** submission (``wait=false``) whose lifecycle
   (QUEUED → INFERRING → SOLVING → DONE) is followed over the NDJSON
   streaming endpoint.
@@ -40,11 +40,10 @@ async def demo(client: ServeClient) -> None:
         print(f"  {body['id']}  HTTP {reply.code}  {body['status']:14s} "
               f"policy={body['policy']:9s} batch_size={body['batch_size']}")
 
-    metrics = await client.metrics()
-    service = metrics.json["service"]
-    print(f"forward passes: {service['inference_passes']} "
-          f"for {service['requests']} requests "
-          f"(amortized {'yes' if service['inference_passes'] < service['requests'] else 'no'})")
+    health = (await client.health()).json
+    passes, requests = health["inference_passes"], health["requests"]
+    print(f"forward passes: {passes} for {requests} requests "
+          f"(amortized {'yes' if passes < requests else 'no'})")
 
     # -- fire-and-forget + lifecycle stream ------------------------------
     ticket = await client.solve(

@@ -9,10 +9,12 @@ claims:
 1. every response matches a direct in-process solve of the same
    (formula, policy, budget) — the service changes *where* solving
    happens, never the answer;
-2. the burst costs strictly fewer HGT forward passes than requests,
+2. ``GET /metrics`` (the registry is on: the service is traced) names
+   every Prometheus family exactly once;
+3. the burst costs strictly fewer HGT forward passes than requests,
    with at least one batch > 1 — read from the ``serve.batch_size``
    histogram in the traced run, not from the service's own say-so;
-3. the SIGINT drain exits 0 and the emitted trace passes the event
+4. the SIGINT drain exits 0 and the emitted trace passes the event
    schema.
 
 Exit code 0 on success; any failed assertion prints the evidence and
@@ -44,11 +46,13 @@ def fail(message: str) -> None:
 
 
 async def run_burst(port: int, cnfs):
+    """The burst's replies, then the service's ``/metrics`` text."""
     client = ServeClient("127.0.0.1", port)
     await client.wait_ready(timeout=30.0)
-    return await asyncio.gather(*[
+    replies = await asyncio.gather(*[
         client.solve(to_dimacs(cnf), max_conflicts=BUDGET) for cnf in cnfs
     ])
+    return replies, (await client.metrics_text()).text
 
 
 def main() -> None:
@@ -70,7 +74,7 @@ def main() -> None:
 
         cnfs = [random_ksat(12 + i, 4 * (12 + i), seed=i)
                 for i in range(BURST)]
-        replies = asyncio.run(run_burst(port, cnfs))
+        replies, exposition = asyncio.run(run_burst(port, cnfs))
 
         proc.send_signal(signal.SIGINT)
         out, _ = proc.communicate(timeout=60)
@@ -99,7 +103,16 @@ def main() -> None:
                  f"direct {direct.stats.propagations}")
     print(f"all {BURST} responses match direct solves")
 
-    # 2. Amortization, from the trace's metric snapshot.
+    # 2. One Prometheus family per fact.
+    families = re.findall(r"^# TYPE (\S+) ", exposition, re.MULTILINE)
+    duplicated = sorted({n for n in families if families.count(n) > 1})
+    if duplicated:
+        fail(f"/metrics repeats families: {', '.join(duplicated)}")
+    if "serve_batch_size" not in families:
+        fail("/metrics lacks the registry's serve_batch_size histogram")
+    print(f"/metrics: {len(families)} families, none repeated")
+
+    # 3. Amortization, from the trace's metric snapshot.
     traces = sorted(trace_dir.glob("serve-*.jsonl"))
     if not traces:
         fail(f"no trace written in {trace_dir}")

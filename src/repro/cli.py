@@ -49,6 +49,7 @@ query``; ``REPRO_STORE=off`` disables that.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import List, Optional
@@ -394,7 +395,7 @@ def _runner_from_args(args, observer=None):
 def _print_sweep_stats(stats) -> None:
     """One summary line of executed / cached / resumed / failed counts."""
     line = (
-        f"sweep: {stats.tasks} tasks, {stats.executed} executed, "
+        f"sweep: {stats.total} tasks, {stats.executed} executed, "
         f"{stats.cache_hits} cache hits, {stats.journal_hits} resumed"
     )
     if stats.failed:
@@ -1059,11 +1060,32 @@ def cmd_select(args) -> int:
     )
 
 
+class _ServeHelpFormatter(argparse.HelpFormatter):
+    """Appends a config-backed flag's default, read from
+    :class:`ServeConfig` / :class:`BreakerConfig` (imported only when
+    help is printed: ``repro.serve`` pulls in numpy)."""
+
+    def _get_help_string(self, action):
+        from repro.serve import BreakerConfig, ServeConfig
+
+        if action.default is argparse.SUPPRESS and action.help:
+            for config in (ServeConfig(), BreakerConfig()):
+                if hasattr(config, action.dest):
+                    default = getattr(config, action.dest)
+                    return f"{action.help} (default: {default})"
+        return action.help
+
+
 def _add_serve(subparsers) -> None:
     p = subparsers.add_parser(
         "serve",
         help="run the async solve service (JSON over HTTP on localhost)",
+        formatter_class=_ServeHelpFormatter,
     )
+    # Each config-backed flag's dest is its ServeConfig / BreakerConfig
+    # field and it takes no parser default: an absent flag leaves the
+    # config's own default in force.
+    setting = functools.partial(p.add_argument, default=argparse.SUPPRESS)
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8123,
                    help="listen port; 0 picks a free one (printed at start)")
@@ -1072,74 +1094,96 @@ def _add_serve(subparsers) -> None:
                         "a fresh seeded model is used — untrained but "
                         "deterministic, so batching is still exercised")
     p.add_argument("--hidden-dim", type=int, default=32)
-    p.add_argument("--max-batch", type=int, default=16,
-                   help="size-triggered inference flush threshold")
-    p.add_argument("--flush-window", type=float, default=0.05,
-                   help="deadline-triggered flush, seconds after the first "
-                        "queued request")
-    p.add_argument("--max-queue", type=int, default=64,
-                   help="admission cap on in-flight requests; beyond it "
-                        "submissions are rejected with 429")
-    p.add_argument("--default-max-conflicts", type=int, default=100_000,
-                   help="conflict budget for requests that name none")
-    p.add_argument("--max-conflicts-cap", type=int, default=1_000_000,
-                   help="hard ceiling every request budget is clamped to")
-    p.add_argument("--workers", type=int, default=1,
-                   help="solver processes per solve group")
-    p.add_argument("--task-timeout", type=float,
-                   help="per-request wall-clock budget, seconds "
-                        "(breach answers 504 TIMEOUT)")
-    p.add_argument("--memory-limit-mb", type=float,
-                   help="per-request worker memory cap "
-                        "(breach answers 507 MEMOUT)")
-    p.add_argument("--cache-dir",
-                   help="on-disk result cache shared across requests")
-    p.add_argument("--journal",
-                   help="append-only journal; a restarted service answers "
-                        "already-solved requests from it without re-solving")
+    setting("--max-batch", type=int,
+            help="size-triggered inference flush threshold")
+    setting("--flush-window", type=float,
+            help="deadline-triggered flush, seconds after the first "
+                 "queued request")
+    setting("--max-queue", dest="max_queue_depth", type=int,
+            help="admission cap on in-flight requests; beyond it "
+                 "submissions are rejected with 429")
+    setting("--default-max-conflicts", type=int,
+            help="conflict budget for requests that name none")
+    setting("--max-conflicts-cap", type=int,
+            help="hard ceiling every request budget is clamped to")
+    setting("--workers", type=int,
+            help="solver processes per solve group")
+    setting("--task-timeout", type=float,
+            help="per-request wall-clock budget, seconds "
+                 "(breach answers 504 TIMEOUT)")
+    setting("--memory-limit-mb", type=float,
+            help="per-request worker memory cap "
+                 "(breach answers 507 MEMOUT)")
+    setting("--cache-dir",
+            help="on-disk result cache shared across requests")
+    setting("--journal",
+            help="append-only journal; a restarted service answers "
+                 "already-solved requests from it without re-solving")
     p.add_argument("--breaker", action="store_true",
                    help="guard the inference path with a circuit breaker: "
                         "while it is open, requests are served by the "
                         "default policy and tagged degraded")
-    p.add_argument("--breaker-window", type=int, default=16,
-                   help="rolling sample window the failure rate is "
-                        "computed over (with --breaker)")
-    p.add_argument("--breaker-threshold", type=float, default=0.5,
-                   help="failure rate in [0,1] that opens the breaker")
-    p.add_argument("--breaker-cooldown", type=float, default=5.0,
-                   help="seconds an open breaker waits before sending "
-                        "half-open probes")
-    p.add_argument("--breaker-slow-seconds", type=float,
-                   help="forward passes slower than this count as "
-                        "failures (latency breaker)")
-    p.add_argument("--inference-timeout", type=float,
-                   help="hard cap on one batched forward pass, seconds; "
-                        "a breach degrades the batch to the default policy")
-    p.add_argument("--conflicts-per-second", type=float, default=25_000.0,
-                   help="calibration rate converting a request's remaining "
-                        "deadline into an affordable conflict budget")
-    p.add_argument("--session-ttl", type=float, default=300.0,
-                   help="idle seconds before a sticky incremental session "
-                        "(POST /sessions) is evicted")
-    p.add_argument("--max-sessions", type=int, default=64,
-                   help="concurrent live session cap; beyond it session "
-                        "creation is rejected with 429")
-    p.add_argument("--session-drift-threshold", type=float, default=0.1,
-                   help="expert-feature drift past which a session re-runs "
-                        "HGT policy inference instead of reusing its "
-                        "cached embedding")
+    setting("--breaker-window", dest="window", type=int,
+            help="rolling sample window the failure rate is "
+                 "computed over (with --breaker)")
+    setting("--breaker-threshold", dest="failure_threshold", type=float,
+            help="failure rate in (0,1] that opens the breaker")
+    setting("--breaker-cooldown", dest="cooldown_seconds", type=float,
+            help="seconds an open breaker waits before sending "
+                 "half-open probes")
+    setting("--breaker-slow-seconds", dest="slow_seconds", type=float,
+            help="forward passes slower than this count as "
+                 "failures (latency breaker)")
+    setting("--inference-timeout", type=float,
+            help="hard cap on one batched forward pass, seconds; "
+                 "a breach degrades the batch to the default policy")
+    setting("--conflicts-per-second", type=float,
+            help="calibration rate converting a request's remaining "
+                 "deadline into an affordable conflict budget")
+    setting("--session-ttl", type=float,
+            help="idle seconds before a sticky incremental session "
+                 "(POST /sessions) is evicted")
+    setting("--max-sessions", type=int,
+            help="concurrent live session cap; beyond it session "
+                 "creation is rejected with 429")
+    setting("--session-drift-threshold", type=float,
+            help="expert-feature drift past which a session re-runs "
+                 "HGT policy inference instead of reusing its "
+                 "cached embedding")
     _add_obs_args(p)
     p.set_defaults(func=cmd_serve)
 
 
 def cmd_serve(args) -> int:
-    """Handle ``repro serve``: run the solve service until SIGINT/SIGTERM."""
+    """Handle ``repro serve``: run the solve service until SIGINT/SIGTERM.
+
+    An out-of-range setting exits 2 with a one-line error."""
     import asyncio
     import signal
+    from dataclasses import asdict, fields
 
-    from repro.models import NeuroSelect
     from repro.serve import BreakerConfig, ServeConfig, SolveService
     from repro.serve.http import bound_address, start_service
+
+    def given(config_class) -> dict:
+        return {
+            f.name: getattr(args, f.name)
+            for f in fields(config_class)
+            if hasattr(args, f.name)
+        }
+
+    try:
+        breaker = BreakerConfig(**given(BreakerConfig)) if args.breaker else None
+        config = ServeConfig(**{**given(ServeConfig), "breaker": breaker})
+    except ValueError as exc:
+        print(f"repro serve: error: {exc}", file=sys.stderr)
+        return 2
+    # The run manifest records every setting in force, defaults included.
+    settings = asdict(config)
+    settings.update(settings.pop("breaker") or {}, breaker=args.breaker)
+    vars(args).update(settings)
+
+    from repro.models import NeuroSelect
 
     obs = _observer_from_args(args, "serve")
     model = NeuroSelect(hidden_dim=args.hidden_dim, seed=0)
@@ -1147,38 +1191,10 @@ def cmd_serve(args) -> int:
         from repro.nn import load_module
 
         load_module(model, args.weights)
-    breaker = None
-    if args.breaker:
-        breaker = BreakerConfig(
-            window=args.breaker_window,
-            failure_threshold=args.breaker_threshold,
-            cooldown_seconds=args.breaker_cooldown,
-            slow_seconds=args.breaker_slow_seconds,
-        )
-    config = ServeConfig(
-        max_batch=args.max_batch,
-        flush_window=args.flush_window,
-        max_queue_depth=args.max_queue,
-        default_max_conflicts=args.default_max_conflicts,
-        max_conflicts_cap=args.max_conflicts_cap,
-        workers=args.workers,
-        task_timeout=args.task_timeout,
-        memory_limit_mb=args.memory_limit_mb,
-        cache_dir=args.cache_dir,
-        journal=args.journal,
-        breaker=breaker,
-        inference_timeout=args.inference_timeout,
-        conflicts_per_second=args.conflicts_per_second,
-        session_ttl=args.session_ttl,
-        max_sessions=args.max_sessions,
-        session_drift_threshold=args.session_drift_threshold,
-    )
 
     async def _serve() -> None:
         service = SolveService(model, config, observer=obs)
-        server, _ = await start_service(
-            service, args.host, args.port, observer=obs
-        )
+        server, _ = await start_service(service, args.host, args.port)
         host, port = bound_address(server)
         obs.event(
             "serve-start",

@@ -32,7 +32,6 @@ from repro.parallel.journal import RunJournal
 from repro.parallel.progress import ProgressAggregator
 from repro.parallel.runner import (
     ParallelRunner,
-    RunnerStats,
     SolveOutcome,
     SolveTask,
     execute_task,
@@ -54,7 +53,6 @@ __all__ = [
     "ResultCache",
     "RetryPolicy",
     "RunJournal",
-    "RunnerStats",
     "SolveOutcome",
     "SolveTask",
     "Supervisor",

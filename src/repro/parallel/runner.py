@@ -27,7 +27,7 @@ semantic one, because the solver is deterministic per task.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
@@ -212,23 +212,6 @@ def execute_task(task: SolveTask) -> SolveOutcome:
     )
 
 
-@dataclass
-class RunnerStats:
-    """Aggregate of one :meth:`ParallelRunner.run` call."""
-
-    tasks: int = 0
-    cache_hits: int = 0
-    journal_hits: int = 0
-    executed: int = 0
-    solved: int = 0
-    failed: int = 0
-    retried: int = 0
-    #: Per-status counts of supervision failures, e.g. {"TIMEOUT": 2}.
-    failures: Dict[str, int] = field(default_factory=dict)
-    wall_seconds: float = 0.0
-    summary: Dict[str, object] = field(default_factory=dict)
-
-
 class ParallelRunner:
     """Fan solve tasks out over supervised processes, with result caching.
 
@@ -291,7 +274,8 @@ class ParallelRunner:
         self.fault_plan = fault_plan
         #: Journal appends that failed (tolerated; see _journal_record).
         self.journal_errors = 0
-        self.last_stats = RunnerStats()
+        #: The :class:`ProgressAggregator` of the latest :meth:`run`.
+        self.last_stats = ProgressAggregator()
 
     @property
     def supervised(self) -> bool:
@@ -317,7 +301,6 @@ class ParallelRunner:
             registry=self.observer.registry
         )
         progress.total = len(tasks)
-        started = time.perf_counter()
 
         results: List[Optional[SolveOutcome]] = [None] * len(tasks)
         pending: List[int] = []
@@ -396,18 +379,7 @@ class ParallelRunner:
                     [(index, tasks[index]) for index in pending], on_complete
                 )
 
-        self.last_stats = RunnerStats(
-            tasks=len(tasks),
-            cache_hits=progress.cache_hits,
-            journal_hits=progress.journal_hits,
-            executed=progress.executed,
-            solved=progress.solved,
-            failed=progress.failed,
-            retried=progress.retried,
-            failures=dict(progress.failures),
-            wall_seconds=time.perf_counter() - started,
-            summary=progress.summary(),
-        )
+        self.last_stats = progress
         self.observer.flush()
         # Every slot is filled: failures become outcomes, not holes.
         return [outcome for outcome in results if outcome is not None]

@@ -40,7 +40,6 @@ from repro.cnf.features import extract_features
 from repro.cnf.formula import CNF
 from repro.graph.bipartite import BipartiteGraph
 from repro.obs.observer import NULL_OBSERVER, Observer
-from repro.selection.dataset import DEFAULT_MAX_NODES
 from repro.selection.selector import DecisionRule
 
 #: Relative per-dimension drift tolerated before re-embedding.
@@ -91,8 +90,7 @@ class SelectorSession:
         self,
         model,
         drift_threshold: float = DEFAULT_DRIFT_THRESHOLD,
-        max_nodes: int = DEFAULT_MAX_NODES,
-        threshold: Optional[float] = None,
+        rule: Optional[DecisionRule] = None,
         observer: Observer = NULL_OBSERVER,
         session_id: Optional[str] = None,
     ):
@@ -100,7 +98,7 @@ class SelectorSession:
             raise ValueError("drift_threshold must be >= 0")
         self.model = model
         self.drift_threshold = drift_threshold
-        self.rule = DecisionRule.for_model(model, threshold, max_nodes)
+        self.rule = rule or DecisionRule.for_model(model)
         self.observer = observer
         self.id = session_id or new_session_id()
         #: Forward passes actually performed for this session.

@@ -35,11 +35,14 @@ default-policy :class:`PolicyChoice` tagged ``degraded=True``, and the
 flush loop itself is exception-proof: a bug anywhere in the flush path
 still resolves every member rather than wedging the queue.
 
-Instrumentation: each forward pass increments
-``serve.inference_passes`` and records the number of coalesced requests
-in the ``serve.batch_size`` histogram — the amortization claim is
-``count(serve.batch_size) < serve.requests``, measured, not asserted —
-plus one ``serve-batch`` trace event per flush.
+Instrumentation: each forward pass increments :attr:`passes` (the
+``/healthz`` ``inference_passes`` total) and records the number of
+coalesced requests in the ``serve.batch_size`` histogram — the
+amortization claim is ``inference_passes < requests``, measured, not
+asserted — plus one ``serve-batch`` trace event per flush.
+
+Settings (``max_batch``, ``flush_window``, ``inference_timeout``) are
+read from the service's :class:`~repro.serve.service.ServeConfig`.
 """
 
 from __future__ import annotations
@@ -47,15 +50,17 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.cnf.formula import CNF
 from repro.graph.batching import batch_graphs
 from repro.graph.bipartite import BipartiteGraph
 from repro.obs.metrics import BATCH_BUCKETS
 from repro.obs.observer import NULL_OBSERVER, Observer
-from repro.selection.dataset import DEFAULT_MAX_NODES
 from repro.selection.selector import DecisionRule
+
+if TYPE_CHECKING:
+    from repro.serve.service import ServeConfig
 
 
 @dataclass
@@ -101,33 +106,17 @@ class InferenceBatcher:
     def __init__(
         self,
         model,
-        *,
-        max_batch: int = 16,
-        flush_window: float = 0.05,
-        max_nodes: int = DEFAULT_MAX_NODES,
-        threshold: Optional[float] = None,
+        config: "ServeConfig",
+        rule: Optional[DecisionRule] = None,
         breaker=None,
-        inference_timeout: Optional[float] = None,
         observer: Observer = NULL_OBSERVER,
     ):
-        if max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
-        if flush_window < 0:
-            raise ValueError("flush_window must be >= 0")
-        if inference_timeout is not None and inference_timeout <= 0:
-            raise ValueError("inference_timeout must be positive")
         self.model = model
-        self.max_batch = max_batch
-        self.flush_window = flush_window
-        self.rule = DecisionRule.for_model(model, threshold, max_nodes)
+        self.config = config
+        self.rule = rule or DecisionRule.for_model(model)
         #: Optional :class:`~repro.serve.resilience.CircuitBreaker`
         #: guarding the forward pass (None: no guard, zero overhead).
         self.breaker = breaker
-        #: Hard cap on one forward pass, seconds.  A pass past it is a
-        #: failure: the batch degrades to the default policy (the
-        #: orphaned executor thread finishes into the void; the breaker
-        #: is what prevents such threads piling up).
-        self.inference_timeout = inference_timeout
         self.observer = observer
         #: Forward passes performed (one per non-empty eligible batch).
         self.passes = 0
@@ -139,7 +128,6 @@ class InferenceBatcher:
         self.degraded = 0
         self._queue: "asyncio.Queue[object]" = asyncio.Queue()
         self._task: Optional[asyncio.Task] = None
-        self._passes_counter = observer.counter("serve.inference_passes")
         self._batch_hist = observer.histogram(
             "serve.batch_size", BATCH_BUCKETS
         )
@@ -163,15 +151,6 @@ class InferenceBatcher:
         await self._queue.put(_STOP)
         await self._task
         self._task = None
-
-    @property
-    def running(self) -> bool:
-        return self._task is not None
-
-    @property
-    def queued(self) -> int:
-        """Submissions waiting for a flush (approximate, for gauges)."""
-        return self._queue.qsize()
 
     # -- submission --------------------------------------------------------
 
@@ -203,9 +182,9 @@ class InferenceBatcher:
             batch: List[_Pending] = [first]
             # The window opens when the first member is picked up; later
             # members only ever shorten the wait, never extend it.
-            deadline = loop.time() + self.flush_window
+            deadline = loop.time() + self.config.flush_window
             stopping = False
-            while len(batch) < self.max_batch:
+            while len(batch) < self.config.max_batch:
                 remaining = deadline - loop.time()
                 if remaining <= 0:
                     break
@@ -219,7 +198,9 @@ class InferenceBatcher:
                     stopping = True
                     break
                 batch.append(item)
-            trigger = "size" if len(batch) >= self.max_batch else "deadline"
+            trigger = (
+                "size" if len(batch) >= self.config.max_batch else "deadline"
+            )
             await self._safe_flush(batch, trigger)
             if stopping:
                 await self._drain()
@@ -232,11 +213,9 @@ class InferenceBatcher:
             item = self._queue.get_nowait()
             if item is not _STOP:
                 residue.append(item)
+        size = self.config.max_batch
         while residue:
-            chunk, residue = (
-                residue[: self.max_batch],
-                residue[self.max_batch:],
-            )
+            chunk, residue = residue[:size], residue[size:]
             await self._safe_flush(chunk, "drain")
 
     async def _safe_flush(self, batch: List[_Pending], trigger: str) -> None:
@@ -333,25 +312,23 @@ class InferenceBatcher:
                     batch_graphs(member_graphs)
                 )
 
+            # A pass past the timeout is a failure: the batch degrades to
+            # the default policy (the orphaned executor thread finishes
+            # into the void; the breaker keeps such threads from piling up).
+            timeout = self.config.inference_timeout
             start = time.perf_counter()
             try:
                 forward = loop.run_in_executor(None, _forward)
-                if self.inference_timeout is not None:
-                    values = await asyncio.wait_for(
-                        forward, self.inference_timeout
-                    )
+                if timeout is not None:
+                    values = await asyncio.wait_for(forward, timeout)
                 else:
                     values = await forward
             except asyncio.TimeoutError:
                 inference_seconds = time.perf_counter() - start
-                degraded_reason = (
-                    f"inference-timeout ({self.inference_timeout:.3g}s)"
-                )
+                degraded_reason = f"inference-timeout ({timeout:.3g}s)"
                 self.failures += 1
                 if self.breaker is not None:
-                    self.breaker.record_failure(
-                        inference_seconds, reason="timeout"
-                    )
+                    self.breaker.record_failure(reason="timeout")
             except Exception as exc:
                 inference_seconds = time.perf_counter() - start
                 degraded_reason = (
@@ -359,14 +336,11 @@ class InferenceBatcher:
                 )
                 self.failures += 1
                 if self.breaker is not None:
-                    self.breaker.record_failure(
-                        inference_seconds, reason=f"{type(exc).__name__}"
-                    )
+                    self.breaker.record_failure(reason=type(exc).__name__)
             else:
                 inference_seconds = time.perf_counter() - start
                 probabilities = dict(zip(eligible, values))
                 self.passes += 1
-                self._passes_counter.inc()
                 self._batch_hist.observe(len(live))
                 if self.breaker is not None:
                     self.breaker.record_success(inference_seconds)

@@ -260,11 +260,7 @@ class ServeClient:
     # -- sticky sessions ---------------------------------------------------
 
     async def session_create(
-        self,
-        dimacs: Optional[str] = None,
-        num_vars: Optional[int] = None,
-        ttl: Optional[float] = None,
-        drift_threshold: Optional[float] = None,
+        self, dimacs: Optional[str] = None, num_vars: Optional[int] = None
     ) -> ServeReply:
         """Open a sticky incremental session (``POST /sessions``)."""
         payload: Dict[str, Any] = {}
@@ -272,10 +268,6 @@ class ServeClient:
             payload["dimacs"] = dimacs
         if num_vars is not None:
             payload["num_vars"] = num_vars
-        if ttl is not None:
-            payload["ttl"] = ttl
-        if drift_threshold is not None:
-            payload["drift_threshold"] = drift_threshold
         return await self._call("POST", "/sessions", payload)
 
     async def session_solve(
@@ -308,10 +300,6 @@ class ServeClient:
     async def health(self) -> ServeReply:
         """Service counters (``GET /healthz``)."""
         return await self._call("GET", "/healthz")
-
-    async def metrics(self) -> ServeReply:
-        """Live counters plus the metrics-registry snapshot (JSON)."""
-        return await self._call("GET", "/metrics?format=json")
 
     async def metrics_text(self) -> ServeReply:
         """Prometheus text exposition (``reply.text``) from ``/metrics``."""

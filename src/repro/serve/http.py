@@ -27,9 +27,9 @@ JSON bodies.  Endpoints:
 
 ``POST /sessions``
     Open a sticky incremental session.  Body ``{"num_vars": N}`` or
-    ``{"dimacs": "..."}`` (the seed formula), plus optional ``"ttl"``
-    (idle seconds before eviction) and ``"drift_threshold"``.
-    Responds ``201 {"id": ...}``; at capacity ``429``.
+    ``{"dimacs": "..."}`` (the seed formula); any other field is
+    ``400``.  The idle TTL and drift threshold are the service's
+    (``ServeConfig``).  Responds ``201 {"id": ...}``; at capacity ``429``.
 
 ``POST /sessions/<id>/solve``
     One incremental call on a session: body ``{"add": [[...], ...]?,
@@ -49,11 +49,10 @@ JSON bodies.  Endpoints:
     with ``solver_engine_reason`` when the compiled loop is unavailable).
 
 ``GET /metrics``
-    Prometheus text exposition format (version 0.0.4): the metrics
-    registry's counters/gauges/histograms plus the service counters as
-    gauges, ready for a scrape target.  ``GET /metrics?format=json``
-    keeps the historical JSON payload ``{"service": {...},
-    "registry": {...}}``.
+    Prometheus text exposition format (version 0.0.4): the service
+    observer's metrics registry plus the ``/healthz`` counts as
+    ``serve_*`` gauges, ready for a scrape target.  Each family appears
+    exactly once.
 
 The server binds localhost by default; it is a trusted-network service,
 not an internet-facing one (no TLS, no auth — put a real proxy in
@@ -68,7 +67,6 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.cnf.dimacs import parse_dimacs
 from repro.obs.metrics import render_prometheus
-from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.serve.protocol import AdmissionError, ServeRequest
 from repro.serve.service import SolveService
 
@@ -161,11 +159,8 @@ class _BodyTooLarge(Exception):
 class HttpFrontDoor:
     """Routes HTTP connections onto one :class:`SolveService`."""
 
-    def __init__(
-        self, service: SolveService, observer: Observer = NULL_OBSERVER
-    ):
+    def __init__(self, service: SolveService):
         self.service = service
-        self.observer = observer
 
     async def serve(
         self, host: str = "127.0.0.1", port: int = 0
@@ -209,7 +204,7 @@ class HttpFrontDoor:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
-        path, _, query = path.partition("?")
+        path = path.partition("?")[0]
         if path == "/solve":
             if method != "POST":
                 await _send_json(writer, 405, {"error": "POST /solve"})
@@ -218,17 +213,7 @@ class HttpFrontDoor:
         elif path == "/healthz" and method == "GET":
             await _send_json(writer, 200, self.service.stats())
         elif path == "/metrics" and method == "GET":
-            if "format=json" in query.split("&"):
-                await _send_json(
-                    writer,
-                    200,
-                    {
-                        "service": self.service.stats(),
-                        "registry": self.observer.registry.snapshot(),
-                    },
-                )
-            else:
-                await self._metrics_text(writer)
+            await self._metrics_text(writer)
         elif path == "/sessions":
             if method != "POST":
                 await _send_json(writer, 405, {"error": "POST /sessions"})
@@ -250,7 +235,7 @@ class HttpFrontDoor:
             await _send_json(writer, 404, {"error": f"no route {path}"})
 
     async def _metrics_text(self, writer: asyncio.StreamWriter) -> None:
-        """Prometheus text exposition: registry + service counters."""
+        """Prometheus text exposition: registry + ``/healthz`` counts."""
         extra: Dict[str, Any] = {}
         for key, value in self.service.stats().items():
             if isinstance(value, dict):  # the nested breaker block
@@ -260,7 +245,7 @@ class HttpFrontDoor:
             else:
                 extra[f"serve.{key}"] = value
         body = render_prometheus(
-            self.observer.registry.snapshot(), extra_gauges=extra
+            self.service.observer.registry.snapshot(), extra_gauges=extra
         ).encode("utf-8")
         writer.write(
             _head(
@@ -368,31 +353,22 @@ class HttpFrontDoor:
             payload = json.loads(body.decode("utf-8")) if body else {}
             if not isinstance(payload, dict):
                 raise ValueError("body must be a JSON object")
+            unknown = sorted(set(payload) - {"dimacs", "num_vars"})
+            if unknown:
+                raise ValueError(f"unknown field(s) {unknown}")
             cnf = None
             if "dimacs" in payload:
                 cnf = parse_dimacs(payload["dimacs"])
             num_vars = int(payload.get("num_vars", 0))
             if cnf is None and num_vars <= 0:
                 raise ValueError("provide 'dimacs' or a positive 'num_vars'")
-            ttl = payload.get("ttl")
-            if ttl is not None:
-                ttl = float(ttl)
-                if ttl <= 0:
-                    raise ValueError("ttl must be positive")
-            drift = payload.get("drift_threshold")
-            if drift is not None:
-                drift = float(drift)
-                if drift < 0:
-                    raise ValueError("drift_threshold must be >= 0")
         except Exception as exc:  # malformed JSON, DIMACS, or fields
             await _send_json(
                 writer, 400, {"error": f"{type(exc).__name__}: {exc}"}
             )
             return
         try:
-            session = self.service.sessions.create(
-                cnf=cnf, num_vars=num_vars, ttl=ttl, drift_threshold=drift
-            )
+            session = self.service.sessions.create(cnf=cnf, num_vars=num_vars)
         except AdmissionError as exc:
             await _send_json(
                 writer,
@@ -511,14 +487,11 @@ class HttpFrontDoor:
 
 
 async def start_service(
-    service: SolveService,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    observer: Observer = NULL_OBSERVER,
+    service: SolveService, host: str = "127.0.0.1", port: int = 0
 ) -> Tuple[asyncio.AbstractServer, HttpFrontDoor]:
     """Start the service pipeline and its HTTP listener in one call."""
     await service.start()
-    door = HttpFrontDoor(service, observer=observer)
+    door = HttpFrontDoor(service)
     server = await door.serve(host, port)
     return server, door
 

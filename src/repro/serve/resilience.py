@@ -15,13 +15,13 @@ that guarantee operational:
   breaker admits a bounded number of half-open *probe* batches — a
   probe failure reopens, enough probe successes close.
 
-* Deadline helpers translate a per-request client deadline into the
-  budgets the execution layer actually enforces: the remaining wall
-  clock clamps the supervisor's per-attempt budget (so no worker
-  outlives its request) and — via a configured conflicts-per-second
-  rate — the solver's conflict budget.
+* :func:`clamp_conflicts_to_deadline` turns a request's remaining wall
+  clock into the conflict budget it can afford, via a configured
+  conflicts-per-second rate.  (The service also clamps the
+  supervisor's per-attempt wall budget to it, so no worker outlives
+  its request.)
 
-Both pieces take an injectable monotonic clock so the full state
+The breaker takes an injectable monotonic clock so the full state
 machine is unit-testable without a single ``sleep``.
 """
 
@@ -158,7 +158,7 @@ class CircuitBreaker:
         """Report one admitted attempt that returned a result."""
         slow = self.config.slow_seconds
         if slow is not None and seconds > slow:
-            self._record_failure(f"slow ({seconds:.3g}s > {slow:.3g}s)")
+            self.record_failure(f"slow ({seconds:.3g}s > {slow:.3g}s)")
             return
         if self.state is BreakerState.HALF_OPEN:
             self._probes_in_flight = max(0, self._probes_in_flight - 1)
@@ -173,11 +173,8 @@ class CircuitBreaker:
         if self.state is BreakerState.CLOSED:
             self._samples.append(False)
 
-    def record_failure(self, seconds: float = 0.0, reason: str = "") -> None:
+    def record_failure(self, reason: str = "failure") -> None:
         """Report one admitted attempt that raised, hung, or timed out."""
-        self._record_failure(reason or "failure")
-
-    def _record_failure(self, reason: str) -> None:
         if self.state is BreakerState.HALF_OPEN:
             # One failed probe is enough: the dependency is still sick.
             self._probes_in_flight = max(0, self._probes_in_flight - 1)
@@ -237,18 +234,6 @@ class CircuitBreaker:
 
 # ---------------------------------------------------------------------------
 # Deadline propagation
-
-
-def remaining_deadline(
-    deadline_at: Optional[float], now: Optional[float] = None
-) -> Optional[float]:
-    """Seconds left before ``deadline_at`` (perf_counter-based); None = no deadline.
-
-    A non-positive return means the deadline already passed.
-    """
-    if deadline_at is None:
-        return None
-    return deadline_at - (time.perf_counter() if now is None else now)
 
 
 def clamp_conflicts_to_deadline(

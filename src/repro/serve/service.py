@@ -53,7 +53,8 @@ from repro.cnf.formula import CNF
 from repro.obs.metrics import TIME_BUCKETS
 from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.parallel.runner import ParallelRunner, SolveOutcome, SolveTask
-from repro.selection.dataset import DEFAULT_MAX_NODES
+from repro.selection.selector import DecisionRule
+from repro.selection.session import DEFAULT_DRIFT_THRESHOLD
 from repro.serve.batcher import InferenceBatcher
 from repro.serve.protocol import (
     HTTP_NOT_ACCEPTING,
@@ -71,15 +72,22 @@ from repro.solver import kernel
 from repro.solver.types import Status
 
 
+#: Terminal requests kept queryable via ``GET /jobs/<id>``.
+HISTORY_LIMIT = 1024
+
+
 @dataclass
 class ServeConfig:
-    """Tunables of one service instance (see ``repro serve --help``)."""
+    """Tunables of one service instance (see ``repro serve --help``).
+
+    The one place a serve setting and its default are declared: the
+    batcher, the session manager and the ``repro serve`` parser all
+    read it.  An out-of-range value raises :class:`ValueError` here.
+    """
 
     # -- inference batching ----------------------------------------------
     max_batch: int = 16            # size-triggered flush threshold
     flush_window: float = 0.05     # deadline-triggered flush, seconds
-    max_nodes: int = DEFAULT_MAX_NODES  # node cap: larger graphs skip inference
-    threshold: Optional[float] = None   # decision threshold (None: model's)
     # -- admission control and budgets -----------------------------------
     max_queue_depth: int = 64      # in-flight request cap; beyond is 429
     default_max_conflicts: int = 100_000  # budget when the request names none
@@ -90,8 +98,6 @@ class ServeConfig:
     memory_limit_mb: Optional[float] = None
     cache_dir: Optional[str] = None
     journal: Optional[str] = None  # restart-survival ledger
-    #: Terminal requests kept queryable via ``GET /jobs/<id>``.
-    history_limit: int = 1024
     # -- resilience (all off by default: zero overhead) -------------------
     #: Circuit breaker over the inference path (None: unguarded).
     breaker: Optional[BreakerConfig] = None
@@ -106,7 +112,35 @@ class ServeConfig:
     #: Concurrent live sessions; beyond it ``POST /sessions`` is 429.
     max_sessions: int = 64
     #: Expert-feature drift past which a session re-runs HGT inference.
-    session_drift_threshold: float = 0.1
+    session_drift_threshold: float = DEFAULT_DRIFT_THRESHOLD
+
+    def __post_init__(self) -> None:
+        for name in ("max_batch", "max_queue_depth", "default_max_conflicts",
+                     "max_conflicts_cap", "workers", "max_sessions"):
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"{name} must be >= 1, got {getattr(self, name)}"
+                )
+        for name in ("flush_window", "session_drift_threshold"):
+            if getattr(self, name) < 0:
+                raise ValueError(
+                    f"{name} must be >= 0, got {getattr(self, name)}"
+                )
+        for name in ("task_timeout", "memory_limit_mb", "inference_timeout",
+                     "conflicts_per_second", "session_ttl"):
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise ValueError(f"{name} must be positive, got {value}")
+
+    def budget(self, max_conflicts: Optional[int]) -> int:
+        """A request's conflict budget: ``default_max_conflicts`` when it
+        names none, clamped to ``[1, max_conflicts_cap]``."""
+        budget = (
+            self.default_max_conflicts
+            if max_conflicts is None
+            else int(max_conflicts)
+        )
+        return max(1, min(budget, self.max_conflicts_cap))
 
 
 _STOP = object()
@@ -121,48 +155,33 @@ class SolveService:
         config: Optional[ServeConfig] = None,
         observer: Observer = NULL_OBSERVER,
     ):
-        self.config = config or ServeConfig()
+        self.config = config = config or ServeConfig()
         self.model = model
         self.observer = observer
-        cfg = self.config
         self.breaker = (
-            CircuitBreaker(cfg.breaker, observer=observer)
-            if cfg.breaker is not None
+            CircuitBreaker(config.breaker, observer=observer)
+            if config.breaker is not None
             else None
         )
+        # One decision rule for batched and session inference alike.
+        rule = DecisionRule.for_model(model)
         self.batcher = InferenceBatcher(
-            model,
-            max_batch=cfg.max_batch,
-            flush_window=cfg.flush_window,
-            max_nodes=cfg.max_nodes,
-            threshold=cfg.threshold,
-            breaker=self.breaker,
-            inference_timeout=cfg.inference_timeout,
-            observer=observer,
+            model, config, rule, breaker=self.breaker, observer=observer
         )
         self.runner = ParallelRunner(
-            workers=cfg.workers,
-            cache_dir=cfg.cache_dir,
-            task_timeout=cfg.task_timeout,
-            memory_limit_mb=cfg.memory_limit_mb,
-            journal=cfg.journal,
+            workers=config.workers,
+            cache_dir=config.cache_dir,
+            task_timeout=config.task_timeout,
+            memory_limit_mb=config.memory_limit_mb,
+            journal=config.journal,
             observer=observer,
         )
-        self.sessions = SessionManager(
-            model,
-            session_ttl=cfg.session_ttl,
-            max_sessions=cfg.max_sessions,
-            drift_threshold=cfg.session_drift_threshold,
-            max_nodes=cfg.max_nodes,
-            threshold=cfg.threshold,
-            default_max_conflicts=cfg.default_max_conflicts,
-            max_conflicts_cap=cfg.max_conflicts_cap,
-            observer=observer,
-        )
+        self.sessions = SessionManager(model, config, rule, observer=observer)
         self.requests: Dict[str, ServeRequest] = {}
         self.accepting = False
-        # Plain-int totals: always live, even with observability off
-        # (the registry's null instruments read 0 forever).
+        # The service's counts, live even with observability off;
+        # ``/healthz`` reports them and ``/metrics`` exports them as
+        # ``serve_*`` gauges (the registry holds no second copy).
         self.total_requests = 0
         self.total_responses = 0
         self.total_rejected = 0
@@ -178,19 +197,12 @@ class SolveService:
         self._solve_queue: "asyncio.Queue[object]" = asyncio.Queue()
         self._solve_task: Optional[asyncio.Task] = None
         # Pre-resolved instruments (null when observability is disabled).
-        self._requests_counter = observer.counter("serve.requests")
-        self._rejected_counter = observer.counter("serve.rejected")
-        self._responses_counter = observer.counter("serve.responses")
-        self._cancelled_counter = observer.counter("serve.cancelled")
-        self._depth_gauge = observer.gauge("serve.queue_depth")
         self._wall_hist = observer.histogram(
             "serve.request_wall_seconds", TIME_BUCKETS
         )
         self._wait_hist = observer.histogram(
             "serve.queue_wait_seconds", TIME_BUCKETS
         )
-        self._degraded_counter = observer.counter("serve.degraded")
-        self._shed_counter = observer.counter("serve.shed")
         self._deadline_miss_hist = observer.histogram(
             "serve.deadline_miss_seconds", TIME_BUCKETS
         )
@@ -292,7 +304,6 @@ class SolveService:
             estimate = self._wait_ewma or 0.0
             if deadline_seconds <= 0 or estimate >= deadline_seconds:
                 self.total_shed += 1
-                self._shed_counter.inc()
                 self._reject(
                     depth, "deadline-infeasible",
                     AdmissionError(
@@ -302,12 +313,7 @@ class SolveService:
                         reason="deadline-infeasible",
                     ),
                 )
-        budget = (
-            self.config.default_max_conflicts
-            if max_conflicts is None
-            else max_conflicts
-        )
-        budget = max(1, min(budget, self.config.max_conflicts_cap))
+        budget = self.config.budget(max_conflicts)
         request = ServeRequest(
             cnf=cnf,
             max_conflicts=budget,
@@ -317,8 +323,6 @@ class SolveService:
             request.deadline_at = request.submitted + deadline_seconds
         self.requests[request.id] = request
         self.total_requests += 1
-        self._requests_counter.inc()
-        self._depth_gauge.set(depth + 1)
         fields: Dict[str, object] = dict(
             admitted=True,
             id=request.id,
@@ -338,7 +342,6 @@ class SolveService:
     ) -> None:
         """Count, trace, and raise one admission rejection."""
         self.total_rejected += 1
-        self._rejected_counter.inc()
         self.observer.event(
             "serve-request",
             admitted=False,
@@ -393,7 +396,6 @@ class SolveService:
             )
             if choice.degraded:
                 self.total_degraded += 1
-                self._degraded_counter.inc()
             request.transition(RequestState.SOLVING)
             if (
                 request.deadline_at is not None
@@ -412,7 +414,6 @@ class SolveService:
             self._complete(request, outcome)
         except asyncio.CancelledError:
             self.total_cancelled += 1
-            self._cancelled_counter.inc()
             request.transition(RequestState.CANCELLED)
             self.observer.event(
                 "serve-response",
@@ -439,7 +440,6 @@ class SolveService:
                     ),
                 )
         finally:
-            self._depth_gauge.set(self.active)
             self._retire(request)
 
     def _complete(self, request: ServeRequest, outcome: SolveOutcome) -> None:
@@ -458,7 +458,6 @@ class SolveService:
                 request.wall_seconds - request.deadline_seconds
             )
         self.total_responses += 1
-        self._responses_counter.inc()
         request.transition(RequestState.DONE)
         fields: Dict[str, object] = dict(
             id=request.id,
@@ -479,10 +478,10 @@ class SolveService:
         self.observer.event("serve-response", **fields)
 
     def _retire(self, request: ServeRequest) -> None:
-        """Bound the terminal-request history at ``history_limit``."""
+        """Bound the terminal-request history at :data:`HISTORY_LIMIT`."""
         self._tasks.pop(request.id, None)
         self._terminal_order.append(request.id)
-        while len(self._terminal_order) > self.config.history_limit:
+        while len(self._terminal_order) > HISTORY_LIMIT:
             stale = self._terminal_order.popleft()
             self.requests.pop(stale, None)
 

@@ -12,11 +12,14 @@ the previous call's learned state.
 The :class:`SessionManager` is the service-side registry:
 
 * ``create`` admits a new session (capacity-capped like the request
-  queue: beyond ``max_sessions`` it rejects with 429);
-* sessions are evicted after ``session_ttl`` idle seconds — eviction is
-  lazy (checked on every create/lookup) plus a sweep from the service's
-  stats path, so an abandoned session costs memory only until the next
-  touch of the manager;
+  queue: beyond ``ServeConfig.max_sessions`` it rejects with 429);
+* sessions are evicted after ``ServeConfig.session_ttl`` idle seconds
+  — eviction is lazy (checked on every create/lookup) plus a sweep from
+  the service's stats path, so an abandoned session costs memory only
+  until the next touch of the manager;
+* each session re-runs inference once its formula drifts past
+  ``ServeConfig.session_drift_threshold``, deciding through the
+  service's shared :class:`~repro.selection.selector.DecisionRule`;
 * ``solve`` serializes calls *within* a session behind an
   ``asyncio.Lock`` (incremental state is inherently sequential) while
   distinct sessions solve concurrently on the executor.
@@ -31,8 +34,11 @@ translates them on top of counters already spent).
 
 Trace events: ``session-start`` / ``session-solve`` /
 ``session-select`` / ``session-evict`` / ``session-end``, all carrying
-the session id, plus ``session.*`` counters — the embedding-reuse
+the session id, plus the ``session.embedding_reuse`` /
+``session.embedding_recompute`` counters — the embedding-reuse
 amortization is measured from these in the CI session-smoke job.
+Session totals (created, evicted, solves) are the plain counts in
+:meth:`SessionManager.stats`.
 """
 
 from __future__ import annotations
@@ -40,15 +46,19 @@ from __future__ import annotations
 import asyncio
 import time
 import uuid
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.cnf.formula import CNF
 from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.policies.registry import get_policy
+from repro.selection.selector import DecisionRule
 from repro.selection.session import SelectorSession
 from repro.serve.protocol import AdmissionError
 from repro.solver.session import SolverSession
 from repro.solver.types import Status
+
+if TYPE_CHECKING:
+    from repro.serve.service import ServeConfig
 
 
 def new_serve_session_id() -> str:
@@ -108,96 +118,61 @@ class SessionManager:
     def __init__(
         self,
         model,
-        session_ttl: float = 300.0,
-        max_sessions: int = 64,
-        drift_threshold: float = 0.1,
-        max_nodes: Optional[int] = None,
-        threshold: Optional[float] = None,
-        default_max_conflicts: int = 100_000,
-        max_conflicts_cap: int = 1_000_000,
+        config: "ServeConfig",
+        rule: Optional[DecisionRule] = None,
         observer: Observer = NULL_OBSERVER,
     ):
-        if session_ttl <= 0:
-            raise ValueError("session_ttl must be positive")
-        if max_sessions < 1:
-            raise ValueError("max_sessions must be >= 1")
         self.model = model
-        self.session_ttl = session_ttl
-        self.max_sessions = max_sessions
-        self.drift_threshold = drift_threshold
-        self.max_nodes = max_nodes
-        self.threshold = threshold
-        self.default_max_conflicts = default_max_conflicts
-        self.max_conflicts_cap = max_conflicts_cap
+        self.config = config
+        self.rule = rule or DecisionRule.for_model(model)
         self.observer = observer
         self.sessions: Dict[str, ServeSession] = {}
         self.total_created = 0
         self.total_evicted = 0
         self.total_closed = 0
         self.total_solves = 0
-        self._created_counter = observer.counter("session.created")
-        self._evicted_counter = observer.counter("session.evicted")
-        self._solves_counter = observer.counter("session.solves")
 
     # -- lifecycle ---------------------------------------------------------
 
     def create(
-        self,
-        cnf: Optional[CNF] = None,
-        num_vars: Optional[int] = None,
-        ttl: Optional[float] = None,
-        drift_threshold: Optional[float] = None,
+        self, cnf: Optional[CNF] = None, num_vars: Optional[int] = None
     ) -> ServeSession:
         """Open a session over ``cnf`` (or an empty ``num_vars``-variable
         formula); raises :class:`AdmissionError` at capacity."""
         self.evict_expired()
-        if len(self.sessions) >= self.max_sessions:
+        config = self.config
+        if len(self.sessions) >= config.max_sessions:
             raise AdmissionError(
                 f"session capacity reached "
-                f"({len(self.sessions)}/{self.max_sessions})",
-                retry_after=self.session_ttl / 10.0,
+                f"({len(self.sessions)}/{config.max_sessions})",
+                retry_after=config.session_ttl / 10.0,
                 reason="sessions-full",
             )
         if cnf is None:
             cnf = CNF(clauses=[], num_vars=int(num_vars or 0))
         session_id = new_serve_session_id()
-        drift = (
-            self.drift_threshold
-            if drift_threshold is None
-            else float(drift_threshold)
-        )
-        selector_kwargs = {}
-        if self.max_nodes is not None:
-            selector_kwargs["max_nodes"] = self.max_nodes
         selector = SelectorSession(
             self.model,
-            drift_threshold=drift,
-            threshold=self.threshold,
+            drift_threshold=config.session_drift_threshold,
+            rule=self.rule,
             observer=self.observer,
             session_id=session_id,
-            **selector_kwargs,
         )
         solver = SolverSession(
             cnf,
             observer=self.observer,
             session_id=session_id,
         )
-        session = ServeSession(
-            session_id,
-            solver,
-            selector,
-            float(ttl) if ttl is not None else self.session_ttl,
-        )
+        session = ServeSession(session_id, solver, selector, config.session_ttl)
         self.sessions[session_id] = session
         self.total_created += 1
-        self._created_counter.inc()
         self.observer.event(
             "session-start",
             session=session_id,
             num_vars=solver.num_vars,
             num_clauses=solver.cnf.num_clauses,
             ttl=session.ttl,
-            drift_threshold=drift,
+            drift_threshold=config.session_drift_threshold,
         )
         return session
 
@@ -228,7 +203,6 @@ class SessionManager:
         for session in expired:
             self.sessions.pop(session.id, None)
             self.total_evicted += 1
-            self._evicted_counter.inc()
             self.observer.event(
                 "session-evict",
                 session=session.id,
@@ -290,18 +264,12 @@ class SessionManager:
         selection = session.selector.select(session.solver.cnf)
         if selection.policy != session.solver.policy_name:
             session.solver.set_policy(get_policy(selection.policy))
-        budget = (
-            self.default_max_conflicts
-            if max_conflicts is None
-            else int(max_conflicts)
-        )
-        budget = max(1, min(budget, self.max_conflicts_cap))
         result = session.solver.solve(
-            assumptions=assumptions, max_conflicts=budget
+            assumptions=assumptions,
+            max_conflicts=self.config.budget(max_conflicts),
         )
         session.solves += 1
         self.total_solves += 1
-        self._solves_counter.inc()
         payload: Dict[str, object] = {
             "session": session.id,
             "call": session.solves,

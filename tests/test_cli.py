@@ -94,6 +94,40 @@ def test_sweep_numbers_rejected_in_one_line(sat_file, tmp_path, argv, named):
     assert not (tmp_path / "out").exists()
 
 
+_BAD_SERVE_SETTINGS = [
+    (["--max-batch", "0"], "max_batch"),
+    (["--flush-window", "-1"], "flush_window"),
+    (["--max-queue", "0"], "max_queue_depth"),
+    (["--default-max-conflicts", "0"], "default_max_conflicts"),
+    (["--max-conflicts-cap", "0"], "max_conflicts_cap"),
+    (["--workers", "0"], "workers"),
+    (["--task-timeout", "0"], "task_timeout"),
+    (["--memory-limit-mb", "-5"], "memory_limit_mb"),
+    (["--inference-timeout", "0"], "inference_timeout"),
+    (["--conflicts-per-second", "0"], "conflicts_per_second"),
+    (["--session-ttl", "0"], "session_ttl"),
+    (["--max-sessions", "0"], "max_sessions"),
+    (["--session-drift-threshold", "-0.1"], "session_drift_threshold"),
+    (["--breaker", "--breaker-threshold", "2"], "failure_threshold"),
+    (["--breaker", "--breaker-window", "2"], "min_samples"),
+]
+
+
+@pytest.mark.parametrize("argv,named", _BAD_SERVE_SETTINGS,
+                         ids=[named for _, named in _BAD_SERVE_SETTINGS])
+def test_serve_settings_rejected_in_one_line(monkeypatch, capsys, argv,
+                                             named):
+    def never_started(*args, **kwargs):
+        raise AssertionError("an invalid setting reached the service")
+
+    monkeypatch.setattr("repro.serve.SolveService", never_started)
+    assert main(["serve", "--port", "0", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"repro serve: error: {named} ")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["features", "label", "solve", "select",
                                      "trim"])
 def test_malformed_dimacs_is_one_line_error(tmp_path, command):

@@ -125,6 +125,7 @@ class TestParallelRunner:
         tasks = make_tasks(4)
         first = ParallelRunner(workers=2, cache_dir=cache_dir)
         first_outcomes = first.run(tasks)
+        assert first.last_stats.total == len(tasks)
         assert first.last_stats.executed == len(tasks)
         assert first.last_stats.cache_hits == 0
 
@@ -160,6 +161,8 @@ class TestParallelRunner:
         progress = ProgressAggregator()
         runner = ParallelRunner(workers=1, progress=progress)
         runner.run(make_tasks(3))
+        assert runner.last_stats is progress  # one count per fact
+        assert progress.total == 3
         summary = progress.summary()
         assert summary["done"] == 3
         assert summary["executed"] == 3

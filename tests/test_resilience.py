@@ -237,7 +237,7 @@ class _StallingModel:
 def test_raising_model_degrades_every_batch_member():
     async def scenario():
         batcher = InferenceBatcher(
-            _RaisingModel(), max_batch=3, flush_window=0.02
+            _RaisingModel(), ServeConfig(max_batch=3, flush_window=0.02)
         )
         await batcher.start()
         choices = await asyncio.gather(*[
@@ -262,9 +262,8 @@ def test_inference_timeout_degrades_and_loop_survives():
     async def scenario():
         batcher = InferenceBatcher(
             _StallingModel(),
-            max_batch=2,
-            flush_window=0.02,
-            inference_timeout=0.05,
+            ServeConfig(max_batch=2, flush_window=0.02,
+                        inference_timeout=0.05),
         )
         await batcher.start()
         first = await asyncio.gather(*[
@@ -291,7 +290,8 @@ def test_open_breaker_bypasses_model_entirely():
         breaker.record_failure(reason="pre-tripped")
         assert breaker.state is BreakerState.OPEN
         batcher = InferenceBatcher(
-            model, max_batch=2, flush_window=0.02, breaker=breaker
+            model, ServeConfig(max_batch=2, flush_window=0.02),
+            breaker=breaker,
         )
         await batcher.start()
         choices = await asyncio.gather(*[
@@ -330,8 +330,7 @@ def test_breaker_recovers_through_batcher_traffic():
         )
         batcher = InferenceBatcher(
             _FlakyModel(_model(), fail_first=1),
-            max_batch=1,
-            flush_window=0.01,
+            ServeConfig(max_batch=1, flush_window=0.01),
             breaker=breaker,
         )
         await batcher.start()

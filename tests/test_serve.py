@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import re
 
 import pytest
 
@@ -33,6 +34,7 @@ from repro.graph import BipartiteGraph
 from repro.models import NeuroSelect
 from repro.obs import start_run, summarize_traces
 from repro.policies import get_policy
+from repro.selection.selector import DecisionRule
 from repro.serve import (
     AdmissionError,
     InferenceBatcher,
@@ -63,7 +65,7 @@ def _burst(n: int, offset: int = 0):
 
 def test_single_request_flushes_at_deadline():
     async def scenario():
-        batcher = InferenceBatcher(_model(), max_batch=8, flush_window=0.02)
+        batcher = InferenceBatcher(_model(), ServeConfig(max_batch=8, flush_window=0.02))
         await batcher.start()
         choice = await batcher.submit(random_ksat(12, 40, seed=0))
         await batcher.stop()
@@ -78,7 +80,7 @@ def test_single_request_flushes_at_deadline():
 
 def test_deadline_fires_before_size():
     async def scenario():
-        batcher = InferenceBatcher(_model(), max_batch=8, flush_window=0.05)
+        batcher = InferenceBatcher(_model(), ServeConfig(max_batch=8, flush_window=0.05))
         await batcher.start()
         choices = await asyncio.gather(*[
             batcher.submit(cnf) for cnf in _burst(3)
@@ -94,7 +96,7 @@ def test_deadline_fires_before_size():
 
 def test_burst_larger_than_max_batch_splits():
     async def scenario():
-        batcher = InferenceBatcher(_model(), max_batch=2, flush_window=0.05)
+        batcher = InferenceBatcher(_model(), ServeConfig(max_batch=2, flush_window=0.05))
         await batcher.start()
         choices = await asyncio.gather(*[
             batcher.submit(cnf) for cnf in _burst(5)
@@ -110,7 +112,7 @@ def test_burst_larger_than_max_batch_splits():
 
 def test_cancelled_client_dropped_before_inference():
     async def scenario():
-        batcher = InferenceBatcher(_model(), max_batch=8, flush_window=0.1)
+        batcher = InferenceBatcher(_model(), ServeConfig(max_batch=8, flush_window=0.1))
         await batcher.start()
         doomed = asyncio.ensure_future(
             batcher.submit(random_ksat(12, 40, seed=0))
@@ -134,7 +136,7 @@ def test_batched_choice_matches_per_instance_prediction():
     cnfs = _burst(6)
 
     async def scenario():
-        batcher = InferenceBatcher(model, max_batch=6, flush_window=0.2)
+        batcher = InferenceBatcher(model, ServeConfig(max_batch=6, flush_window=0.2))
         await batcher.start()
         choices = await asyncio.gather(*[batcher.submit(c) for c in cnfs])
         await batcher.stop()
@@ -149,8 +151,11 @@ def test_batched_choice_matches_per_instance_prediction():
 
 def test_oversize_graph_skips_inference():
     async def scenario():
+        model = _model()
         batcher = InferenceBatcher(
-            _model(), max_batch=4, flush_window=0.02, max_nodes=5
+            model,
+            ServeConfig(max_batch=4, flush_window=0.02),
+            DecisionRule.for_model(model, max_nodes=5),
         )
         await batcher.start()
         choice = await batcher.submit(random_ksat(20, 80, seed=0))
@@ -167,7 +172,7 @@ def test_oversize_graph_skips_inference():
 
 def test_stop_drains_queued_submissions():
     async def scenario():
-        batcher = InferenceBatcher(_model(), max_batch=4, flush_window=5.0)
+        batcher = InferenceBatcher(_model(), ServeConfig(max_batch=4, flush_window=5.0))
         await batcher.start()
         waiters = [
             asyncio.ensure_future(batcher.submit(cnf)) for cnf in _burst(3)
@@ -478,12 +483,16 @@ def test_healthz_reports_solver_engine():
 
 def test_http_error_paths():
     async def scenario():
-        service, server, client = await _http_service(max_queue_depth=0)
+        service, server, client = await _http_service(
+            max_queue_depth=1, flush_window=0.5
+        )
         try:
             bad_json = await client._call("POST", "/solve", None)
             not_object = await client._call("POST", "/solve", [1, 2])
             missing = await client._call("POST", "/solve", {"wait": True})
             bad_dimacs = await client.solve("this is not dimacs")
+            # One request parked in the flush window fills the queue.
+            await client.solve("p cnf 1 1\n1 0\n", wait=False)
             full = await client.solve("p cnf 1 1\n1 0\n")
             lost = await client.status("q-000000000000")
             no_route = await client._call("GET", "/nope")
@@ -634,21 +643,19 @@ def test_serve_request_snapshot_and_states():
     assert request.http_code() == 200
 
 
-def test_http_metrics_prometheus_default_and_json_opt_in():
+def test_http_metrics_prometheus_text():
     cnf = random_ksat(12, 40, seed=3)
 
     async def scenario():
         service, server, client = await _http_service()
         try:
             await client.solve(to_dimacs(cnf), max_conflicts=2_000)
-            prom = await client.metrics_text()
-            legacy = await client.metrics()
+            return await client.metrics_text()
         finally:
             await _http_teardown(service, server)
-        return prom, legacy
 
-    prom, legacy = asyncio.run(scenario())
-    # Default /metrics is Prometheus text exposition 0.0.4.
+    prom = asyncio.run(scenario())
+    # /metrics is Prometheus text exposition 0.0.4.
     assert prom.code == 200
     assert prom.headers["content-type"].startswith("text/plain")
     assert "version=0.0.4" in prom.headers["content-type"]
@@ -657,10 +664,6 @@ def test_http_metrics_prometheus_default_and_json_opt_in():
     assert "serve_requests 1" in prom.text
     assert "serve_responses 1" in prom.text
     assert "serve_accepting 1" in prom.text
-    # ?format=json keeps the historical JSON payload for dashboards.
-    assert legacy.code == 200
-    assert legacy.json["service"]["responses"] == 1
-    assert "registry" in legacy.json
 
 
 def test_http_metrics_includes_observer_registry():
@@ -672,7 +675,7 @@ def test_http_metrics_includes_observer_registry():
             ServeConfig(max_batch=8, flush_window=0.1),
             observer=observer,
         )
-        server, _ = await start_service(service, port=0, observer=observer)
+        server, _ = await start_service(service, port=0)
         host, port = bound_address(server)
         client = ServeClient(host, port)
         try:
@@ -689,3 +692,9 @@ def test_http_metrics_includes_observer_registry():
     assert 'serve_batch_size_bucket{le="+Inf"} 1' in reply.text
     assert "serve_batch_size_count 1" in reply.text
     assert "# TYPE runner_done counter" in reply.text
+    # Each fact is exported once: the /healthz totals as serve_* gauges,
+    # never again as a registry instrument.
+    families = re.findall(r"^# TYPE (\S+) ", reply.text, re.MULTILINE)
+    duplicated = sorted({n for n in families if families.count(n) > 1})
+    assert not duplicated, duplicated
+    assert "# TYPE serve_requests gauge" in reply.text

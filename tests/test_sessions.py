@@ -472,10 +472,8 @@ class TestIncrementalOracle:
 # serve sessions: manager semantics
 
 
-def _manager(**kwargs) -> SessionManager:
-    defaults = dict(model=None)
-    defaults.update(kwargs)
-    return SessionManager(**defaults)
+def _manager(model=None, **cfg) -> SessionManager:
+    return SessionManager(model, ServeConfig(**cfg))
 
 
 class TestSessionManager:
@@ -627,6 +625,10 @@ class TestSessionHttp:
                 bad_create = await client._call(
                     "POST", "/sessions", {"dimacs": "p cnf oops"}
                 )
+                # TTL and drift threshold are the service's, not the body's.
+                override = await client._call(
+                    "POST", "/sessions", {"num_vars": 2, "ttl": 5.0}
+                )
                 created = await client.session_create(num_vars=2)
                 sid = created.json["id"]
                 bad_add = await client._call(
@@ -636,10 +638,13 @@ class TestSessionHttp:
                 still_alive = await client.session_solve(sid, add=[[1, 2]])
             finally:
                 await _http_teardown(service, server)
-            return bad_create, bad_add, bad_var, still_alive
+            return bad_create, override, bad_add, bad_var, still_alive
 
-        bad_create, bad_add, bad_var, still_alive = asyncio.run(scenario())
+        bad_create, override, bad_add, bad_var, still_alive = asyncio.run(
+            scenario()
+        )
         assert bad_create.code == 400
+        assert override.code == 400 and "ttl" in override.json["error"]
         assert bad_add.code == 400
         assert bad_var.code == 400  # solver rejected; session survives
         assert still_alive.code == 200

@@ -350,6 +350,7 @@ class TestLabelingSweepAcceptance:
 
         assert len(comparisons) == len(cnfs)  # nothing dropped
         stats = runner.last_stats
+        assert stats.total == 2 * len(cnfs)  # both policies per instance
         assert stats.failures == {"TIMEOUT": 1, "ERROR": 1}
         # Two outcomes took more than one attempt: the transient error
         # (recovered) and the permanent kill (retried once, still ERROR).
