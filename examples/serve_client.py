@@ -3,10 +3,10 @@
 Starts an in-process solve service (unless ``--port`` points at a
 running ``repro serve``), then shows the two client modes:
 
-* a **concurrent burst** of held (``wait=true``) requests — they land
-  inside one flush window, so the service classifies all of them with
-  fewer HGT forward passes than requests (the amortization the service
-  exists for, read back from ``/healthz``);
+* a **concurrent burst** of held (``wait=true``) requests — those
+  queued together share one forward pass, so the service classifies
+  all of them with fewer HGT forward passes than requests (the
+  amortization the service exists for, read back from ``/healthz``);
 * a **fire-and-forget** submission (``wait=false``) whose lifecycle
   (QUEUED → INFERRING → SOLVING → DONE) is followed over the NDJSON
   streaming endpoint.
@@ -80,7 +80,7 @@ async def main() -> None:
     # identically to a trained deployment.
     service = SolveService(
         NeuroSelect(hidden_dim=16, seed=0),
-        ServeConfig(max_batch=BURST, flush_window=0.2),
+        ServeConfig(max_batch=BURST),
     )
     server, _ = await start_service(service, port=0)
     host, port = bound_address(server)

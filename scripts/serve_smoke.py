@@ -59,7 +59,7 @@ def main() -> None:
     trace_dir = Path(tempfile.mkdtemp(prefix="serve-smoke-"))
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0",
-         "--max-batch", str(BURST), "--flush-window", "0.25",
+         "--max-batch", str(BURST),
          "--hidden-dim", "8", "--trace", str(trace_dir)],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
     )

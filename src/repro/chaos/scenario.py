@@ -390,7 +390,6 @@ class _Harness:
         scenario = self.scenario
         return ServeConfig(
             max_batch=scenario.wave_size,
-            flush_window=0.25,
             max_queue_depth=max(64, 4 * scenario.wave_size),
             default_max_conflicts=scenario.budget,
             workers=1,

@@ -1095,10 +1095,8 @@ def _add_serve(subparsers) -> None:
                         "deterministic, so batching is still exercised")
     p.add_argument("--hidden-dim", type=int, default=32)
     setting("--max-batch", type=int,
-            help="size-triggered inference flush threshold")
-    setting("--flush-window", type=float,
-            help="deadline-triggered flush, seconds after the first "
-                 "queued request")
+            help="most queued requests coalesced into one inference "
+                 "pass")
     setting("--max-queue", dest="max_queue_depth", type=int,
             help="admission cap on in-flight requests; beyond it "
                  "submissions are rejected with 429")
@@ -1201,7 +1199,6 @@ def cmd_serve(args) -> int:
             host=host,
             port=port,
             max_batch=config.max_batch,
-            flush_window=config.flush_window,
             max_queue_depth=config.max_queue_depth,
             workers=config.workers,
             weights=bool(args.weights),

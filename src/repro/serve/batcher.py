@@ -1,28 +1,35 @@
 """Inference batcher: coalesce queued requests into one HGT forward pass.
 
-NeuroSelect's selection cost is one model inference per instance; at
-service scale that forward pass dominates the cheap formulas that make
-up most traffic.  The batcher amortizes it: requests submitted within a
-*flush window* are collected into one
-:class:`~repro.graph.batching.BatchedBipartiteGraph` and classified by a
-single :meth:`~repro.models.neuroselect.NeuroSelect.predict_proba_batch`
-call, whose segmented attention makes the batched probabilities exactly
-the per-instance ones.
+NeuroSelect's selection cost is one model inference per instance.  The
+batcher collects queued requests into one
+:class:`~repro.graph.batching.BatchedBipartiteGraph` and classifies
+them with a single
+:meth:`~repro.models.neuroselect.NeuroSelect.predict_proba_batch` call,
+whose segmented attention makes the batched probabilities exactly the
+per-instance ones.
 
-Flush triggers, in priority order:
+Batching is *work-conserving*: the flush loop blocks for the first
+queued request, takes every other request already queued (up to
+``max_batch``) and flushes at once — no timer, so a lone request never
+waits for batch mates.  Requests that arrive while a graph build or
+forward pass is running queue up and form the next batch, so bursts
+still coalesce.  A forward pass costs about the same per graph at any
+batch size (``docs/serving.md``), so waiting to grow a batch buys no
+amortization.
 
-* **size** — the batch reached ``max_batch`` members; flush immediately
-  (latency never waits on a full batch);
-* **deadline** — ``flush_window`` seconds elapsed since the *first*
-  member of the batch was picked up; flush whatever accumulated (a lone
-  request pays at most the window, never an unbounded wait);
+Flush triggers:
+
+* **size** — the batch reached ``max_batch`` members (the rest of the
+  queue forms the next batch);
+* **queue** — the batch took everything that was queued;
 * **drain** — the batcher is stopping; residual queued requests are
   flushed in ``max_batch``-sized chunks so shutdown loses nothing.
 
 Requests whose future was cancelled (client disconnect) are dropped at
 flush time, before any graph construction or inference is spent on
-them.  Instances whose graph exceeds ``max_nodes`` skip inference and
-fall back to the default policy, exactly like
+them.  Instances whose graph exceeds the node cap of the
+:class:`~repro.selection.selector.DecisionRule` skip inference and fall
+back to the default policy, exactly like
 :class:`~repro.selection.selector.NeuroSelectSolver` (the paper's
 >400k-node handling).
 
@@ -41,8 +48,8 @@ coalesced requests in the ``serve.batch_size`` histogram — the
 amortization claim is ``inference_passes < requests``, measured, not
 asserted — plus one ``serve-batch`` trace event per flush.
 
-Settings (``max_batch``, ``flush_window``, ``inference_timeout``) are
-read from the service's :class:`~repro.serve.service.ServeConfig`.
+Settings (``max_batch``, ``inference_timeout``) are read from the
+service's :class:`~repro.serve.service.ServeConfig`.
 """
 
 from __future__ import annotations
@@ -72,7 +79,7 @@ class PolicyChoice:
     probability: Optional[float]
     used_model: bool          # False: node cap (or no model) forced default
     batch_size: int           # live requests coalesced into this flush
-    trigger: str              # "size" | "deadline" | "drain"
+    trigger: str              # "size" | "queue" | "drain"
     inference_seconds: float  # forward-pass cost of the whole batch
     queue_wait_seconds: float  # submit -> flush wait for this request
     #: True when this request *would* have used the model but inference
@@ -101,7 +108,7 @@ _STOP = object()
 
 
 class InferenceBatcher:
-    """Size- or deadline-triggered batching of policy inference."""
+    """Work-conserving batching of policy inference."""
 
     def __init__(
         self,
@@ -174,32 +181,25 @@ class InferenceBatcher:
     # -- flush loop --------------------------------------------------------
 
     async def _loop(self) -> None:
-        loop = asyncio.get_running_loop()
         while True:
             first = await self._queue.get()
             if first is _STOP:
                 break
+            # Take what is already queued and flush now; whatever
+            # arrives during this flush forms the next batch.
             batch: List[_Pending] = [first]
-            # The window opens when the first member is picked up; later
-            # members only ever shorten the wait, never extend it.
-            deadline = loop.time() + self.config.flush_window
             stopping = False
-            while len(batch) < self.config.max_batch:
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    break
-                try:
-                    item = await asyncio.wait_for(
-                        self._queue.get(), remaining
-                    )
-                except asyncio.TimeoutError:
-                    break
+            while (
+                len(batch) < self.config.max_batch
+                and not self._queue.empty()
+            ):
+                item = self._queue.get_nowait()
                 if item is _STOP:
                     stopping = True
                     break
                 batch.append(item)
             trigger = (
-                "size" if len(batch) >= self.config.max_batch else "deadline"
+                "size" if len(batch) >= self.config.max_batch else "queue"
             )
             await self._safe_flush(batch, trigger)
             if stopping:

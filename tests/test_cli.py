@@ -96,7 +96,6 @@ def test_sweep_numbers_rejected_in_one_line(sat_file, tmp_path, argv, named):
 
 _BAD_SERVE_SETTINGS = [
     (["--max-batch", "0"], "max_batch"),
-    (["--flush-window", "-1"], "flush_window"),
     (["--max-queue", "0"], "max_queue_depth"),
     (["--default-max-conflicts", "0"], "default_max_conflicts"),
     (["--max-conflicts-cap", "0"], "max_conflicts_cap"),

@@ -237,7 +237,7 @@ class _StallingModel:
 def test_raising_model_degrades_every_batch_member():
     async def scenario():
         batcher = InferenceBatcher(
-            _RaisingModel(), ServeConfig(max_batch=3, flush_window=0.02)
+            _RaisingModel(), ServeConfig(max_batch=3)
         )
         await batcher.start()
         choices = await asyncio.gather(*[
@@ -262,8 +262,7 @@ def test_inference_timeout_degrades_and_loop_survives():
     async def scenario():
         batcher = InferenceBatcher(
             _StallingModel(),
-            ServeConfig(max_batch=2, flush_window=0.02,
-                        inference_timeout=0.05),
+            ServeConfig(max_batch=2, inference_timeout=0.05),
         )
         await batcher.start()
         first = await asyncio.gather(*[
@@ -290,7 +289,7 @@ def test_open_breaker_bypasses_model_entirely():
         breaker.record_failure(reason="pre-tripped")
         assert breaker.state is BreakerState.OPEN
         batcher = InferenceBatcher(
-            model, ServeConfig(max_batch=2, flush_window=0.02),
+            model, ServeConfig(max_batch=2),
             breaker=breaker,
         )
         await batcher.start()
@@ -330,7 +329,7 @@ def test_breaker_recovers_through_batcher_traffic():
         )
         batcher = InferenceBatcher(
             _FlakyModel(_model(), fail_first=1),
-            ServeConfig(max_batch=1, flush_window=0.01),
+            ServeConfig(max_batch=1),
             breaker=breaker,
         )
         await batcher.start()
@@ -452,8 +451,7 @@ def test_drain_completes_admitted_and_rejects_new_with_503():
     async def scenario():
         service = SolveService(
             _model(),
-            ServeConfig(max_batch=4, flush_window=0.02,
-                        default_max_conflicts=500),
+            ServeConfig(max_batch=4, default_max_conflicts=500),
         )
         server, _ = await start_service(service)
         host, port = bound_address(server)
@@ -564,7 +562,6 @@ def test_connection_reset_retry_resumes_from_journal(tmp_path):
             None,
             ServeConfig(
                 max_batch=2,
-                flush_window=0.02,
                 default_max_conflicts=2000,
                 journal=str(tmp_path / "journal.jsonl"),
             ),
@@ -634,7 +631,6 @@ def test_service_stats_expose_breaker_and_resilience_counters():
             _model(),
             ServeConfig(
                 max_batch=2,
-                flush_window=0.02,
                 default_max_conflicts=500,
                 breaker=BreakerConfig(),
             ),

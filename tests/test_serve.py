@@ -2,9 +2,10 @@
 
 The service's correctness claims, each tested here:
 
-* flush-window semantics — a lone request flushes at the deadline, a
-  full batch flushes on size, a burst larger than ``max_batch`` splits,
-  and a cancelled client is dropped from its batch before inference;
+* work-conserving flushes — a lone request flushes at once, requests
+  queued behind a running forward pass form the next batch, a full
+  batch flushes on size, a burst larger than ``max_batch`` splits, and
+  a cancelled client is dropped from its batch before inference;
 * batched classification equals per-instance classification (the
   segmented-attention equality, end to end through the batcher);
 * amortization — a concurrent burst of 8 requests costs strictly fewer
@@ -26,6 +27,8 @@ from __future__ import annotations
 import asyncio
 import json
 import re
+import threading
+import time
 
 import pytest
 
@@ -59,44 +62,90 @@ def _burst(n: int, offset: int = 0):
     ]
 
 
+class _GatedModel(NeuroSelect):
+    """A model whose forward passes wait until the test opens ``gate``.
+
+    ``entered`` is set once a pass has started, so a test can queue
+    requests behind a pass that is known to be running.
+    """
+
+    def __init__(self):
+        super().__init__(hidden_dim=8, seed=0)
+        self.gate = threading.Event()
+        self.entered = threading.Event()
+        self.batch_sizes = []
+
+    def predict_proba_batch(self, batch):
+        self.entered.set()
+        self.gate.wait(timeout=30)
+        values = super().predict_proba_batch(batch)
+        self.batch_sizes.append(len(values))
+        return values
+
+
+async def _hold(batcher, model: _GatedModel) -> "asyncio.Future":
+    """Start a forward pass that ``model`` holds until its gate opens;
+    later submissions stay queued behind it.  Returns the holder's
+    pending choice."""
+    holder = asyncio.ensure_future(
+        batcher.submit(random_ksat(12, 40, seed=99))
+    )
+    deadline = time.monotonic() + 10.0
+    while not model.entered.is_set():
+        assert time.monotonic() < deadline, "the held pass never started"
+        await asyncio.sleep(0.005)
+    return holder
+
+
 # ---------------------------------------------------------------------------
 # batcher flush semantics
 
 
-def test_single_request_flushes_at_deadline():
+def test_lone_request_flushes_at_once():
     async def scenario():
-        batcher = InferenceBatcher(_model(), ServeConfig(max_batch=8, flush_window=0.02))
+        batcher = InferenceBatcher(_model(), ServeConfig(max_batch=8))
         await batcher.start()
         choice = await batcher.submit(random_ksat(12, 40, seed=0))
         await batcher.stop()
         return choice, batcher.passes
 
     choice, passes = asyncio.run(scenario())
-    assert choice.trigger == "deadline"
+    assert choice.trigger == "queue"
     assert choice.batch_size == 1
     assert choice.used_model
     assert passes == 1
 
 
-def test_deadline_fires_before_size():
+def test_requests_queued_behind_a_pass_form_the_next_batch():
+    model = _GatedModel()
+
     async def scenario():
-        batcher = InferenceBatcher(_model(), ServeConfig(max_batch=8, flush_window=0.05))
+        batcher = InferenceBatcher(model, ServeConfig(max_batch=8))
         await batcher.start()
-        choices = await asyncio.gather(*[
-            batcher.submit(cnf) for cnf in _burst(3)
-        ])
-        await batcher.stop()
+        try:
+            holder = await _hold(batcher, model)
+            queued = [
+                asyncio.ensure_future(batcher.submit(cnf))
+                for cnf in _burst(5)
+            ]
+            await asyncio.sleep(0)  # let them enqueue
+            model.gate.set()
+            choices = await asyncio.gather(holder, *queued)
+        finally:
+            model.gate.set()
+            await batcher.stop()
         return choices, batcher.passes
 
     choices, passes = asyncio.run(scenario())
-    assert passes == 1  # 3 < max_batch: one deadline flush, not three
-    assert {c.trigger for c in choices} == {"deadline"}
-    assert {c.batch_size for c in choices} == {3}
+    assert passes == 2  # 5 < max_batch: one pass for all of them
+    assert model.batch_sizes == [1, 5]
+    assert [c.batch_size for c in choices] == [1, 5, 5, 5, 5, 5]
+    assert {c.trigger for c in choices} == {"queue"}
 
 
 def test_burst_larger_than_max_batch_splits():
     async def scenario():
-        batcher = InferenceBatcher(_model(), ServeConfig(max_batch=2, flush_window=0.05))
+        batcher = InferenceBatcher(_model(), ServeConfig(max_batch=2))
         await batcher.start()
         choices = await asyncio.gather(*[
             batcher.submit(cnf) for cnf in _burst(5)
@@ -112,7 +161,7 @@ def test_burst_larger_than_max_batch_splits():
 
 def test_cancelled_client_dropped_before_inference():
     async def scenario():
-        batcher = InferenceBatcher(_model(), ServeConfig(max_batch=8, flush_window=0.1))
+        batcher = InferenceBatcher(_model(), ServeConfig(max_batch=8))
         await batcher.start()
         doomed = asyncio.ensure_future(
             batcher.submit(random_ksat(12, 40, seed=0))
@@ -136,7 +185,7 @@ def test_batched_choice_matches_per_instance_prediction():
     cnfs = _burst(6)
 
     async def scenario():
-        batcher = InferenceBatcher(model, ServeConfig(max_batch=6, flush_window=0.2))
+        batcher = InferenceBatcher(model, ServeConfig(max_batch=6))
         await batcher.start()
         choices = await asyncio.gather(*[batcher.submit(c) for c in cnfs])
         await batcher.stop()
@@ -154,7 +203,7 @@ def test_oversize_graph_skips_inference():
         model = _model()
         batcher = InferenceBatcher(
             model,
-            ServeConfig(max_batch=4, flush_window=0.02),
+            ServeConfig(max_batch=4),
             DecisionRule.for_model(model, max_nodes=5),
         )
         await batcher.start()
@@ -171,18 +220,24 @@ def test_oversize_graph_skips_inference():
 
 
 def test_stop_drains_queued_submissions():
+    model = _GatedModel()
+
     async def scenario():
-        batcher = InferenceBatcher(_model(), ServeConfig(max_batch=4, flush_window=5.0))
+        batcher = InferenceBatcher(model, ServeConfig(max_batch=4))
         await batcher.start()
+        holder = await _hold(batcher, model)
         waiters = [
             asyncio.ensure_future(batcher.submit(cnf)) for cnf in _burst(3)
         ]
-        await asyncio.sleep(0.05)  # window is 5s: still unflushed
-        await batcher.stop()
-        return await asyncio.gather(*waiters)
+        await asyncio.sleep(0)  # queued behind the held pass
+        stopping = asyncio.ensure_future(batcher.stop())
+        await asyncio.sleep(0)  # the stop sentinel queues behind them
+        model.gate.set()
+        await stopping
+        return await asyncio.gather(holder, *waiters)
 
     choices = asyncio.run(scenario())
-    assert len(choices) == 3
+    assert len(choices) == 4
     assert all(c.label in (0, 1) for c in choices)
 
 
@@ -196,7 +251,7 @@ def test_burst_amortizes_and_matches_direct_solve():
 
     async def scenario():
         service = SolveService(
-            _model(), ServeConfig(max_batch=8, flush_window=0.25)
+            _model(), ServeConfig(max_batch=8)
         )
         await service.start()
         requests = [
@@ -226,7 +281,7 @@ def test_admission_rejects_when_queue_full():
     async def scenario():
         service = SolveService(
             _model(),
-            ServeConfig(max_batch=4, flush_window=5.0, max_queue_depth=2),
+            ServeConfig(max_batch=4, max_queue_depth=2),
         )
         await service.start()
         service.submit(random_ksat(10, 30, seed=0))
@@ -247,7 +302,6 @@ def test_budgets_are_clamped_to_the_cap():
         service = SolveService(
             None,
             ServeConfig(
-                flush_window=0.01,
                 default_max_conflicts=777,
                 max_conflicts_cap=1_000,
             ),
@@ -275,7 +329,7 @@ def test_budgets_are_clamped_to_the_cap():
 def test_graceful_shutdown_drains_inflight_requests():
     async def scenario():
         service = SolveService(
-            _model(), ServeConfig(max_batch=8, flush_window=0.2)
+            _model(), ServeConfig(max_batch=8)
         )
         await service.start()
         requests = [service.submit(cnf) for cnf in _burst(4)]
@@ -296,7 +350,7 @@ def test_restart_resumes_from_journal(tmp_path):
     async def round_trip():
         service = SolveService(
             _model(),
-            ServeConfig(max_batch=4, flush_window=0.05, journal=journal),
+            ServeConfig(max_batch=4, journal=journal),
         )
         await service.start()
         requests = [
@@ -319,17 +373,22 @@ def test_restart_resumes_from_journal(tmp_path):
 
 
 def test_cancel_inflight_request():
+    model = _GatedModel()
+
     async def scenario():
-        service = SolveService(
-            _model(), ServeConfig(max_batch=8, flush_window=5.0)
-        )
+        service = SolveService(model, ServeConfig(max_batch=8))
         await service.start()
-        request = service.submit(random_ksat(12, 40, seed=0))
-        await asyncio.sleep(0.02)
-        assert service.cancel(request.id)
-        await request.done.wait()
-        state = request.state
-        stats = service.stats()
+        holder = await _hold(service.batcher, model)
+        try:
+            request = service.submit(random_ksat(12, 40, seed=0))
+            await asyncio.sleep(0.02)
+            assert service.cancel(request.id)
+            await request.done.wait()
+            state = request.state
+            stats = service.stats()
+        finally:
+            model.gate.set()
+        await holder
         await service.stop()
         return state, stats, request
 
@@ -342,7 +401,7 @@ def test_cancel_inflight_request():
 
 def test_service_without_model_uses_default_policy():
     async def scenario():
-        service = SolveService(None, ServeConfig(flush_window=0.01))
+        service = SolveService(None, ServeConfig())
         await service.start()
         request = service.submit(random_ksat(12, 40, seed=3))
         await service.wait(request.id)
@@ -366,7 +425,7 @@ def test_traced_burst_summarizes_as_service_report(tmp_path):
     async def scenario(observer):
         service = SolveService(
             _model(),
-            ServeConfig(max_batch=8, flush_window=0.25),
+            ServeConfig(max_batch=8),
             observer=observer,
         )
         await service.start()
@@ -398,10 +457,10 @@ def test_traced_burst_summarizes_as_service_report(tmp_path):
 # HTTP front door
 
 
-async def _http_service(**cfg):
+async def _http_service(model=None, **cfg):
     service = SolveService(
-        _model(),
-        ServeConfig(**{"max_batch": 8, "flush_window": 0.1, **cfg}),
+        model or _model(),
+        ServeConfig(**{"max_batch": 8, **cfg}),
     )
     server, _ = await start_service(service, port=0)
     host, port = bound_address(server)
@@ -482,16 +541,19 @@ def test_healthz_reports_solver_engine():
 
 
 def test_http_error_paths():
+    model = _GatedModel()
+
     async def scenario():
         service, server, client = await _http_service(
-            max_queue_depth=1, flush_window=0.5
+            model, max_queue_depth=1
         )
+        holder = await _hold(service.batcher, model)
         try:
             bad_json = await client._call("POST", "/solve", None)
             not_object = await client._call("POST", "/solve", [1, 2])
             missing = await client._call("POST", "/solve", {"wait": True})
             bad_dimacs = await client.solve("this is not dimacs")
-            # One request parked in the flush window fills the queue.
+            # One request parked behind the held pass fills the queue.
             await client.solve("p cnf 1 1\n1 0\n", wait=False)
             full = await client.solve("p cnf 1 1\n1 0\n")
             lost = await client.status("q-000000000000")
@@ -499,6 +561,8 @@ def test_http_error_paths():
             wrong_method = await client._call("GET", "/solve")
             health = await client.health()
         finally:
+            model.gate.set()
+            await holder
             await _http_teardown(service, server)
         return (bad_json, not_object, missing, bad_dimacs, full, lost,
                 no_route, wrong_method, health)
@@ -525,7 +589,7 @@ def test_http_timeout_maps_to_504():
 
     async def scenario():
         service, server, client = await _http_service(
-            flush_window=0.01, task_timeout=0.05
+            task_timeout=0.05
         )
         try:
             reply = await client.solve(to_dimacs(pigeonhole(7)))
@@ -539,8 +603,11 @@ def test_http_timeout_maps_to_504():
 
 
 def test_http_disconnect_cancels_held_request():
+    model = _GatedModel()
+
     async def scenario():
-        service, server, client = await _http_service(flush_window=5.0)
+        service, server, client = await _http_service(model)
+        holder = await _hold(service.batcher, model)
         try:
             # Speak the protocol by hand so the connection can be torn
             # down mid-wait.
@@ -565,6 +632,8 @@ def test_http_disconnect_cancels_held_request():
                 await asyncio.sleep(0.01)
             stats = service.stats()
         finally:
+            model.gate.set()
+            await holder
             await _http_teardown(service, server)
         return stats
 
@@ -584,7 +653,7 @@ def test_cli_serve_subprocess_smoke(tmp_path):
 
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0",
-         "--max-batch", "4", "--flush-window", "0.1",
+         "--max-batch", "4",
          "--hidden-dim", "8", "--trace", str(tmp_path)],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
     )
@@ -672,7 +741,7 @@ def test_http_metrics_includes_observer_registry():
     async def scenario(observer):
         service = SolveService(
             _model(),
-            ServeConfig(max_batch=8, flush_window=0.1),
+            ServeConfig(max_batch=8),
             observer=observer,
         )
         server, _ = await start_service(service, port=0)

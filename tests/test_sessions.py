@@ -556,7 +556,7 @@ class TestSessionManager:
 async def _http_service(**cfg):
     service = SolveService(
         NeuroSelect(hidden_dim=8, seed=0),
-        ServeConfig(**{"max_batch": 4, "flush_window": 0.05, **cfg}),
+        ServeConfig(**{"max_batch": 4, **cfg}),
     )
     server, _ = await start_service(service, port=0)
     host, port = bound_address(server)
