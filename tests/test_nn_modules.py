@@ -194,3 +194,24 @@ class TestMetadataRoundTrip:
         clone = MLP([3, 4, 1])
         load_module(clone, path)
         assert not hasattr(clone, "decision_threshold")
+
+
+class TestBlasThreads:
+    def test_single_threaded_leaves_every_mapped_openblas_at_one_thread(self):
+        import ctypes
+
+        from repro.nn import blas
+
+        if not blas.single_threaded():
+            pytest.skip("no OpenBLAS with a known setter in this process")
+        checked = 0
+        for path in blas._mapped_openblas():
+            library = ctypes.CDLL(path)
+            for name in blas._SETTERS:
+                if hasattr(library, name):
+                    getter = getattr(library, name.replace("_set_", "_get_"))
+                    getter.restype = ctypes.c_int
+                    assert getter() == 1
+                    checked += 1
+                    break
+        assert checked >= 1
