@@ -9,13 +9,6 @@ Variables are 1-based integers; a literal is a signed non-zero integer
 from repro.cnf.formula import CNF, Clause
 from repro.cnf.dimacs import parse_dimacs, parse_dimacs_file, to_dimacs, write_dimacs_file
 from repro.cnf.features import FormulaFeatures, extract_features
-from repro.cnf.structure import (
-    StructuralFeatures,
-    structural_features,
-    variable_incidence_graph,
-    community_labels,
-)
-from repro.cnf.encodings import Circuit, miter, ripple_carry_adder
 from repro.cnf.transforms import (
     shuffle_clauses,
     rename_variables,
@@ -26,7 +19,6 @@ from repro.cnf.transforms import (
 )
 from repro.cnf.generators import (
     GeneratorSpec,
-    generate_family,
     random_ksat,
     pigeonhole,
     graph_coloring,
@@ -45,13 +37,6 @@ __all__ = [
     "write_dimacs_file",
     "FormulaFeatures",
     "extract_features",
-    "StructuralFeatures",
-    "structural_features",
-    "variable_incidence_graph",
-    "community_labels",
-    "Circuit",
-    "miter",
-    "ripple_carry_adder",
     "shuffle_clauses",
     "rename_variables",
     "flip_polarity",
@@ -59,7 +44,6 @@ __all__ = [
     "compact_variables",
     "augment",
     "GeneratorSpec",
-    "generate_family",
     "random_ksat",
     "pigeonhole",
     "graph_coloring",

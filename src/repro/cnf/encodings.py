@@ -1,240 +1,13 @@
-"""Tseitin encoding of Boolean circuits to CNF.
+"""Cardinality constraints: Sinz's sequential-counter encoding.
 
-The paper motivates SAT by circuit verification; this module provides
-the bridge: build a circuit from gates, get an equisatisfiable CNF via
-the Tseitin transformation, and (for the classic verification workload)
-generate *miter* instances that check the equivalence of two circuits —
-UNSAT iff the circuits agree on every input.
-
-Example::
-
-    c = Circuit()
-    a, b = c.input("a"), c.input("b")
-    s = c.xor(a, b)
-    c.set_output(s)
-    cnf = c.to_cnf(assert_output=True)   # SAT iff some input makes s true
+:func:`at_most_k` is what the ``cardinality_conflict`` generator family
+(:mod:`repro.cnf.generators`) builds its over-constrained instances from.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from repro.cnf.formula import CNF
-
-
-@dataclass(frozen=True)
-class Gate:
-    """One gate: an operator over already-defined signal literals."""
-
-    kind: str  # "and" | "or" | "xor" | "not" | "ite"
-    output: int  # positive variable id of the gate output
-    inputs: Tuple[int, ...]  # signed literals
-
-
-class Circuit:
-    """A combinational circuit with named inputs and one output."""
-
-    def __init__(self) -> None:
-        self._next_var = 1
-        self._inputs: Dict[str, int] = {}
-        self._gates: List[Gate] = []
-        self._output: Optional[int] = None
-
-    # -- construction -----------------------------------------------------
-
-    def input(self, name: str) -> int:
-        """Declare (or fetch) a named input; returns its positive literal."""
-        if name in self._inputs:
-            return self._inputs[name]
-        var = self._fresh()
-        self._inputs[name] = var
-        return var
-
-    def _fresh(self) -> int:
-        var = self._next_var
-        self._next_var += 1
-        return var
-
-    def _gate(self, kind: str, inputs: Sequence[int]) -> int:
-        for lit in inputs:
-            if lit == 0 or abs(lit) >= self._next_var:
-                raise ValueError(f"undefined signal {lit}")
-        out = self._fresh()
-        self._gates.append(Gate(kind=kind, output=out, inputs=tuple(inputs)))
-        return out
-
-    def and_(self, *inputs: int) -> int:
-        """AND of two or more signals."""
-        if len(inputs) < 2:
-            raise ValueError("and_ needs at least two inputs")
-        return self._gate("and", inputs)
-
-    def or_(self, *inputs: int) -> int:
-        """OR of two or more signals."""
-        if len(inputs) < 2:
-            raise ValueError("or_ needs at least two inputs")
-        return self._gate("or", inputs)
-
-    def xor(self, a: int, b: int) -> int:
-        return self._gate("xor", (a, b))
-
-    def not_(self, a: int) -> int:
-        """Negation is free: just flip the literal."""
-        if a == 0 or abs(a) >= self._next_var:
-            raise ValueError(f"undefined signal {a}")
-        return -a
-
-    def ite(self, cond: int, then: int, otherwise: int) -> int:
-        """If-then-else (multiplexer)."""
-        return self._gate("ite", (cond, then, otherwise))
-
-    def set_output(self, literal: int) -> None:
-        if literal == 0 or abs(literal) >= self._next_var:
-            raise ValueError(f"undefined signal {literal}")
-        self._output = literal
-
-    # -- properties ---------------------------------------------------------
-
-    @property
-    def inputs(self) -> Dict[str, int]:
-        return dict(self._inputs)
-
-    @property
-    def output(self) -> int:
-        if self._output is None:
-            raise ValueError("circuit output not set")
-        return self._output
-
-    @property
-    def num_vars(self) -> int:
-        return self._next_var - 1
-
-    # -- encoding ----------------------------------------------------------
-
-    def to_cnf(self, assert_output: bool = True) -> CNF:
-        """Tseitin-encode the circuit.
-
-        With ``assert_output`` the output literal is asserted true, so
-        the CNF is satisfiable iff some input assignment activates the
-        output.
-        """
-        clauses: List[List[int]] = []
-        for gate in self._gates:
-            clauses.extend(_gate_clauses(gate))
-        if assert_output:
-            clauses.append([self.output])
-        return CNF(clauses, num_vars=self.num_vars)
-
-    def evaluate(self, assignment: Dict[str, bool]) -> bool:
-        """Simulate the circuit on named input values."""
-        values: Dict[int, bool] = {}
-        for name, var in self._inputs.items():
-            if name not in assignment:
-                raise ValueError(f"missing input {name!r}")
-            values[var] = assignment[name]
-
-        def value_of(lit: int) -> bool:
-            v = values[abs(lit)]
-            return v if lit > 0 else not v
-
-        for gate in self._gates:
-            ins = [value_of(lit) for lit in gate.inputs]
-            if gate.kind == "and":
-                out = all(ins)
-            elif gate.kind == "or":
-                out = any(ins)
-            elif gate.kind == "xor":
-                out = ins[0] != ins[1]
-            elif gate.kind == "ite":
-                out = ins[1] if ins[0] else ins[2]
-            else:  # pragma: no cover - constructor prevents this
-                raise AssertionError(f"unknown gate {gate.kind}")
-            values[gate.output] = out
-        return value_of(self.output)
-
-
-def _gate_clauses(gate: Gate) -> List[List[int]]:
-    """Tseitin clauses asserting ``gate.output <-> kind(inputs)``."""
-    out = gate.output
-    ins = gate.inputs
-    if gate.kind == "and":
-        clauses = [[-out, lit] for lit in ins]
-        clauses.append([out] + [-lit for lit in ins])
-        return clauses
-    if gate.kind == "or":
-        clauses = [[out, -lit] for lit in ins]
-        clauses.append([-out] + list(ins))
-        return clauses
-    if gate.kind == "xor":
-        a, b = ins
-        return [
-            [-out, a, b],
-            [-out, -a, -b],
-            [out, -a, b],
-            [out, a, -b],
-        ]
-    if gate.kind == "ite":
-        c, t, e = ins
-        return [
-            [-out, -c, t],
-            [-out, c, e],
-            [out, -c, -t],
-            [out, c, -e],
-        ]
-    raise AssertionError(f"unknown gate {gate.kind}")
-
-
-# ---------------------------------------------------------------------------
-# Verification workloads
-# ---------------------------------------------------------------------------
-
-def miter(circuit_a: Circuit, circuit_b: Circuit) -> CNF:
-    """Equivalence-checking miter of two circuits over the same inputs.
-
-    The result is satisfiable iff some input assignment makes the two
-    outputs differ — i.e. UNSAT certifies equivalence.  Input names must
-    match exactly; variables of ``circuit_b`` are shifted past
-    ``circuit_a``'s and its inputs unified with ``circuit_a``'s.
-    """
-    if set(circuit_a.inputs) != set(circuit_b.inputs):
-        raise ValueError("circuits must share the same input names")
-
-    offset = circuit_a.num_vars
-    remap: Dict[int, int] = {}
-    for name, var_b in circuit_b.inputs.items():
-        remap[var_b] = circuit_a.inputs[name]
-
-    def map_lit(lit: int) -> int:
-        var = abs(lit)
-        mapped = remap.get(var, var + offset)
-        return mapped if lit > 0 else -mapped
-
-    clauses: List[List[int]] = []
-    for gate in circuit_a._gates:
-        clauses.extend(_gate_clauses(gate))
-    for gate in circuit_b._gates:
-        shifted = Gate(
-            kind=gate.kind,
-            output=map_lit(gate.output),
-            inputs=tuple(map_lit(lit) for lit in gate.inputs),
-        )
-        clauses.extend(_gate_clauses(shifted))
-
-    # XOR the two outputs and assert the difference.
-    out_a = circuit_a.output
-    out_b = map_lit(circuit_b.output)
-    diff = offset + circuit_b.num_vars + 1
-    clauses.extend(
-        _gate_clauses(Gate(kind="xor", output=diff, inputs=(out_a, out_b)))
-    )
-    clauses.append([diff])
-    return CNF(clauses, num_vars=diff)
-
-
-# ---------------------------------------------------------------------------
-# Cardinality constraints (sequential counter / Sinz encoding)
-# ---------------------------------------------------------------------------
 
 def at_most_k(
     literals: Sequence[int], k: int, next_var: int
@@ -273,59 +46,3 @@ def at_most_k(
     clauses.append([-x[n - 1], -register(n - 2, k)])
     return clauses, next_var + (n - 1) * k
 
-
-def at_least_k(
-    literals: Sequence[int], k: int, next_var: int
-) -> Tuple[List[List[int]], int]:
-    """``sum(literals) >= k`` via at-most-(n-k) over the negations."""
-    n = len(literals)
-    if k <= 0:
-        return [], next_var
-    if k > n:
-        return [[]], next_var  # unsatisfiable: empty clause
-    if k == 1:
-        return [list(literals)], next_var
-    return at_most_k([-lit for lit in literals], n - k, next_var)
-
-
-def exactly_k(
-    literals: Sequence[int], k: int, next_var: int
-) -> Tuple[List[List[int]], int]:
-    """``sum(literals) == k`` — the conjunction of the two bounds."""
-    upper, next_var = at_most_k(literals, k, next_var)
-    lower, next_var = at_least_k(literals, k, next_var)
-    return upper + lower, next_var
-
-
-def at_most_one(literals: Sequence[int]) -> List[List[int]]:
-    """Pairwise at-most-one (no auxiliaries; quadratic but tiny for small n)."""
-    out: List[List[int]] = []
-    for i in range(len(literals)):
-        for j in range(i + 1, len(literals)):
-            out.append([-literals[i], -literals[j]])
-    return out
-
-
-def ripple_carry_adder(bits: int, seed_name: str = "") -> Circuit:
-    """An n-bit ripple-carry adder circuit (output = MSB carry-out).
-
-    A standard verification benchmark component; two structurally
-    different adders make a classic equivalence-checking miter.
-    """
-    if bits < 1:
-        raise ValueError("need at least one bit")
-    circuit = Circuit()
-    a = [circuit.input(f"a{i}") for i in range(bits)]
-    b = [circuit.input(f"b{i}") for i in range(bits)]
-    carry: Optional[int] = None
-    for i in range(bits):
-        axb = circuit.xor(a[i], b[i])
-        if carry is None:
-            carry = circuit.and_(a[i], b[i])
-        else:
-            circuit_sum = circuit.xor(axb, carry)  # noqa: F841 (sum unused)
-            carry = circuit.or_(
-                circuit.and_(a[i], b[i]), circuit.and_(axb, carry)
-            )
-    circuit.set_output(carry)
-    return circuit

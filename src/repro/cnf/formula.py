@@ -66,26 +66,8 @@ class Clause:
         lits = set(self.literals)
         return any(-lit in lits for lit in lits)
 
-    def is_unit(self) -> bool:
-        return len(self.literals) == 1
-
     def is_empty(self) -> bool:
         return not self.literals
-
-    def satisfied_by(self, assignment: Sequence[Optional[bool]]) -> bool:
-        """Evaluate under a partial assignment indexed by variable.
-
-        ``assignment[v]`` holds the truth value of variable ``v`` (index 0
-        is unused) or ``None`` when unassigned.  Unassigned literals do not
-        satisfy the clause.
-        """
-        for lit in self.literals:
-            value = assignment[abs(lit)]
-            if value is None:
-                continue
-            if value == (lit > 0):
-                return True
-        return False
 
 
 class CNF:

@@ -379,16 +379,3 @@ GENERATOR_FAMILIES: Dict[str, Callable[..., CNF]] = {
     "cardinality_conflict": cardinality_conflict,
 }
 
-
-def generate_family(
-    family: str,
-    count: int,
-    base_seed: int = 0,
-    **params: object,
-) -> List[CNF]:
-    """Generate ``count`` instances of one family with consecutive seeds."""
-    specs = [
-        GeneratorSpec(family, tuple(sorted(params.items())), base_seed + i)
-        for i in range(count)
-    ]
-    return [spec.build() for spec in specs]

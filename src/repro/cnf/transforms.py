@@ -13,7 +13,7 @@ renaming variables, and (c) flipping the polarity of any variable subset
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.cnf.formula import CNF
 
@@ -102,23 +102,3 @@ def augment(cnf: CNF, seed: int = 0) -> CNF:
     step2 = flip_polarity(step1, seed=seed + 1)
     return shuffle_clauses(step2, seed=seed + 2)
 
-
-def map_model_back(
-    model: List[Optional[bool]],
-    mapping: Dict[int, int],
-    flipped: Sequence[int] = (),
-) -> List[Optional[bool]]:
-    """Invert :func:`rename_variables` (+ optional flips) on a model.
-
-    ``mapping`` maps original variable -> transformed variable;
-    ``flipped`` lists *transformed* variables whose polarity was negated
-    after renaming.  Returns a model indexed by original variables.
-    """
-    flipped_set = set(flipped)
-    out: List[Optional[bool]] = [None] * (len(model))
-    for original, transformed in mapping.items():
-        value = model[transformed]
-        if value is not None and transformed in flipped_set:
-            value = not value
-        out[original] = value
-    return out

@@ -2,10 +2,9 @@
 
 A classical-ML reference point below the graph networks of Table 2: a
 single linear layer over the static formula features of
-:mod:`repro.cnf.features` (optionally plus the VIG structure measures),
-trained with the same BCE/Adam recipe.  How far the GNNs beat this
-baseline measures how much of the signal is *structural* rather than
-reachable from summary statistics.
+:mod:`repro.cnf.features`, trained with the same BCE/Adam recipe.  How
+far the GNNs beat this baseline measures how much of the signal is
+*structural* rather than reachable from summary statistics.
 """
 
 from __future__ import annotations

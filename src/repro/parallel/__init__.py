@@ -11,7 +11,7 @@ embarrassingly parallel across instances.  This package provides:
   per task, even when a worker hangs, crashes, or is OOM-killed;
 * :class:`~repro.parallel.supervisor.Supervisor` — per-task worker
   processes under hard wall-clock (:class:`WorkerBudget`) and memory
-  budgets, with transient-failure retry (:class:`RetryPolicy`) and
+  budgets, with capped-backoff retry of worker errors and
   deterministic fault injection (:class:`FaultPlan`) for tests;
 * :class:`~repro.parallel.journal.RunJournal` — append-only JSONL
   checkpoint so an interrupted sweep resumes without re-solving
@@ -19,9 +19,10 @@ embarrassingly parallel across instances.  This package provides:
 * :class:`~repro.parallel.cache.ResultCache` — content-addressed JSON
   store so a previously solved *(instance, policy, config, budgets)*
   combination is never solved again;
-* :class:`~repro.parallel.progress.ProgressAggregator` — live counts of
-  executed / cached / resumed / solved / failed tasks plus the
-  supervision failure taxonomy and cumulative solver effort.
+* :class:`~repro.parallel.progress.ProgressAggregator` — the run's
+  counts of executed / cached / resumed / solved / failed tasks plus the
+  supervision failure taxonomy and cumulative solver effort
+  (``ParallelRunner.last_stats``).
 
 ``repro.selection.labeling``, ``repro.selection.dataset``, and
 ``repro.bench.runner`` all route through this layer.
@@ -39,7 +40,6 @@ from repro.parallel.runner import (
 from repro.parallel.supervisor import (
     Fault,
     FaultPlan,
-    RetryPolicy,
     Supervisor,
     WorkerBudget,
 )
@@ -51,7 +51,6 @@ __all__ = [
     "ParallelRunner",
     "ProgressAggregator",
     "ResultCache",
-    "RetryPolicy",
     "RunJournal",
     "SolveOutcome",
     "SolveTask",

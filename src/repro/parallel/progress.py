@@ -5,55 +5,22 @@ runner (from whichever process delivered the result) and keeps the
 aggregate picture: how many tasks ran vs. hit the cache or the resume
 journal, how many were decided within budget, how many *failed* under
 supervision and why (the TIMEOUT / ERROR / MEMOUT taxonomy), cumulative
-solver effort, and per-policy breakdowns.  An optional callback receives
-``(done, total, outcome)`` after every event — the hook for progress
-bars or log lines — while the default stays silent, so library callers
-get statistics without output.
+solver effort, and per-policy breakdowns.  It prints nothing and feeds
+no metrics registry: with tracing on, the runner's ``task-finish``
+events are the per-task record, and ``repro report`` derives its sweep
+counts and task-wall percentiles from them.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
-
-from repro.obs.metrics import MetricsRegistry, TIME_BUCKETS
-from repro.solver.types import Status
+from typing import Dict
 
 
 class ProgressAggregator:
-    """Collects completion events from a runner into summary statistics.
+    """Collects completion events from a runner into summary statistics."""
 
-    With a live :class:`~repro.obs.metrics.MetricsRegistry` attached,
-    every completion event also feeds the shared metric series
-    (``runner.done``, ``runner.executed``, ``runner.solved``, ...) and
-    the ``runner.task_wall_seconds`` latency histogram, so runner
-    progress and solver metrics land in one registry snapshot instead
-    of two parallel bookkeeping systems.
-    """
-
-    def __init__(
-        self,
-        total: int = 0,
-        callback: Optional[Callable[[int, int, object], None]] = None,
-        registry: Optional[MetricsRegistry] = None,
-    ):
+    def __init__(self, total: int = 0):
         self.total = total
-        self.callback = callback
-        if registry is not None and registry.enabled:
-            self._m_done = registry.counter("runner.done")
-            self._m_cache_hits = registry.counter("runner.cache_hits")
-            self._m_journal_hits = registry.counter("runner.journal_hits")
-            self._m_executed = registry.counter("runner.executed")
-            self._m_solved = registry.counter("runner.solved")
-            self._m_failed = registry.counter("runner.failed")
-            self._m_retry_attempts = registry.counter("runner.retry_attempts")
-            self._m_wall = registry.histogram(
-                "runner.task_wall_seconds", TIME_BUCKETS
-            )
-        else:
-            self._m_wall = None
-        self.reset()
-
-    def reset(self) -> None:
         self.done = 0
         self.cache_hits = 0
         self.journal_hits = 0
@@ -69,7 +36,7 @@ class ProgressAggregator:
         #: Supervision-failure taxonomy, e.g. {"TIMEOUT": 1, "ERROR": 2}.
         self.failures: Dict[str, int] = {}
 
-    def record_retry(self, status: Status) -> None:
+    def record_retry(self) -> None:
         """Account one failed attempt that is about to be retried.
 
         Retried attempts are not terminal — they do not advance ``done``
@@ -77,8 +44,6 @@ class ProgressAggregator:
         the retry layer is absorbing.
         """
         self.retry_attempts += 1
-        if self._m_wall is not None:
-            self._m_retry_attempts.inc()
 
     def record(self, outcome) -> None:
         """Account one finished :class:`~repro.parallel.runner.SolveOutcome`."""
@@ -101,21 +66,6 @@ class ProgressAggregator:
         self.conflicts += outcome.conflicts
         self.wall_seconds += outcome.wall_seconds
         self.by_policy[outcome.policy] = self.by_policy.get(outcome.policy, 0) + 1
-        if self._m_wall is not None:
-            self._m_done.inc()
-            if outcome.cached:
-                self._m_cache_hits.inc()
-            elif getattr(outcome, "resumed", False):
-                self._m_journal_hits.inc()
-            else:
-                self._m_executed.inc()
-                self._m_wall.observe(outcome.wall_seconds)
-            if outcome.status.decided:
-                self._m_solved.inc()
-            if outcome.status.failed:
-                self._m_failed.inc()
-        if self.callback is not None:
-            self.callback(self.done, self.total, outcome)
 
     def summary(self) -> Dict[str, object]:
         """The aggregate picture as a plain dict (JSON-able)."""

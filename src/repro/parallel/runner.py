@@ -39,7 +39,6 @@ from repro.parallel.journal import RunJournal
 from repro.parallel.progress import ProgressAggregator
 from repro.parallel.supervisor import (
     FaultPlan,
-    RetryPolicy,
     Supervisor,
     TaskFailure,
     WorkerBudget,
@@ -223,9 +222,10 @@ class ParallelRunner:
         is killed and reported as ``Status.TIMEOUT``.
     ``memory_limit_mb``
         Per-worker address-space cap; a breach becomes ``Status.MEMOUT``.
-    ``retries`` / ``retry_backoff``
-        Transient-failure retries with capped exponential backoff
-        (errors only by default; see :class:`RetryPolicy`).
+    ``retries``
+        Extra attempts for a task whose worker failed with ``ERROR``,
+        after a capped exponential backoff (see
+        :func:`~repro.parallel.supervisor.retry_delay`).
     ``journal``
         Path (or :class:`RunJournal`) for the append-only completion
         ledger; re-running with the same journal skips finished tasks.
@@ -242,32 +242,25 @@ class ParallelRunner:
         self,
         workers: int = 1,
         cache_dir: Optional[Union[str, Path]] = None,
-        progress: Optional[ProgressAggregator] = None,
         *,
         task_timeout: Optional[float] = None,
         memory_limit_mb: Optional[float] = None,
         retries: int = 0,
-        retry_backoff: float = 0.5,
-        retry_policy: Optional[RetryPolicy] = None,
         journal: Optional[Union[str, Path, RunJournal]] = None,
         fault_plan: Optional[FaultPlan] = None,
         observer: Optional[Observer] = None,
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
+        if retries < 0:
+            raise ValueError("retries must be non-negative")
         self.workers = workers
         self.cache = ResultCache(cache_dir) if cache_dir is not None else None
-        self.progress = progress
         self.observer = observer if observer is not None else NULL_OBSERVER
         self.budget = WorkerBudget(
             wall_seconds=task_timeout, rss_mb=memory_limit_mb
         )
-        if retry_policy is not None:
-            self.retry = retry_policy
-        else:
-            self.retry = RetryPolicy(
-                max_retries=retries, backoff_seconds=retry_backoff
-            )
+        self.retries = retries
         if isinstance(journal, (str, Path)):
             journal = RunJournal(journal)
         self.journal = journal
@@ -283,7 +276,7 @@ class ParallelRunner:
         return (
             self.workers > 1
             or not self.budget.unlimited
-            or self.retry.max_retries > 0
+            or self.retries > 0
             or self.fault_plan is not None
         )
 
@@ -297,10 +290,7 @@ class ParallelRunner:
         zeroed effort counters — they never raise and never abort
         sibling tasks.
         """
-        progress = self.progress or ProgressAggregator(
-            registry=self.observer.registry
-        )
-        progress.total = len(tasks)
+        progress = ProgressAggregator(total=len(tasks))
 
         results: List[Optional[SolveOutcome]] = [None] * len(tasks)
         pending: List[int] = []
@@ -339,7 +329,7 @@ class ParallelRunner:
                     self._finish(index, outcome, results, keys, progress)
             else:
                 def on_retry(index, attempt, status):
-                    progress.record_retry(status)
+                    progress.record_retry()
                     observer.event(
                         "task-retry", index=index, attempt=attempt,
                         status=status.value,
@@ -354,7 +344,7 @@ class ParallelRunner:
                 supervisor = Supervisor(
                     workers=self.workers,
                     budget=self.budget,
-                    retry=self.retry,
+                    retries=self.retries,
                     fault_plan=self.fault_plan,
                     on_retry=on_retry,
                     on_start=on_start if observer.tracing else None,

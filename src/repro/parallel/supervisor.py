@@ -14,9 +14,10 @@ terminal status instead of an exception:
   is also classified MEMOUT, the OOM-killer signature)
 * unhandled exception / hard kill -> ``Status.ERROR``
 
-Transient failures can be retried with capped exponential backoff
-(:class:`RetryPolicy`); backoff never blocks the scheduler — a retrying
-task just becomes runnable later while siblings keep executing.
+Transient failures (``ERROR`` only) can be retried with capped
+exponential backoff (:func:`retry_delay`); backoff never blocks the
+scheduler — a retrying task just becomes runnable later while siblings
+keep executing.
 
 Every failure path is exercisable deterministically through
 :class:`FaultPlan`, which injects a chosen fault (raise / hang / kill /
@@ -72,37 +73,24 @@ class WorkerBudget:
         return self.wall_seconds is None and self.rss_mb is None
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Capped exponential backoff for transient failures.
+#: Backoff before the first retry; each further retry doubles it.
+RETRY_BACKOFF_SECONDS = 0.5
 
-    Only ``ERROR`` is retried by default: timeouts and memouts are
-    deterministic for a fixed budget, so retrying them burns budget to
-    reproduce the same failure.  Backoff for attempt ``k`` (1-based
-    failure count) is ``min(backoff_seconds * multiplier**(k-1), cap)``
-    — deterministic on purpose, so sweeps are reproducible.
+#: Upper bound on any single retry backoff.
+RETRY_BACKOFF_CAP_SECONDS = 30.0
+
+
+def retry_delay(attempt: int) -> float:
+    """Backoff before retrying failed attempt ``attempt`` (1-based).
+
+    ``min(RETRY_BACKOFF_SECONDS * 2**(attempt-1), RETRY_BACKOFF_CAP_SECONDS)``
+    — deterministic on purpose, so sweeps are reproducible.  Only
+    ``ERROR`` is ever retried: timeouts and memouts are deterministic for
+    a fixed budget, so retrying them burns budget to reproduce the same
+    failure.
     """
-
-    max_retries: int = 0
-    backoff_seconds: float = 0.5
-    multiplier: float = 2.0
-    max_backoff_seconds: float = 30.0
-    retry_statuses: Tuple[Status, ...] = (Status.ERROR,)
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
-        if self.backoff_seconds < 0 or self.max_backoff_seconds < 0:
-            raise ValueError("backoff must be non-negative")
-
-    def should_retry(self, status: Status, attempt: int) -> bool:
-        """True when a failed ``attempt`` (1-based) should be retried."""
-        return status in self.retry_statuses and attempt <= self.max_retries
-
-    def delay_for(self, attempt: int) -> float:
-        """Backoff before retry number ``attempt`` (1-based failures)."""
-        raw = self.backoff_seconds * (self.multiplier ** max(attempt - 1, 0))
-        return min(raw, self.max_backoff_seconds)
+    raw = RETRY_BACKOFF_SECONDS * (2.0 ** max(attempt - 1, 0))
+    return min(raw, RETRY_BACKOFF_CAP_SECONDS)
 
 
 # ---------------------------------------------------------------------------
@@ -281,16 +269,19 @@ class Supervisor:
         self,
         workers: int = 1,
         budget: Optional[WorkerBudget] = None,
-        retry: Optional[RetryPolicy] = None,
+        retries: int = 0,
         fault_plan: Optional[FaultPlan] = None,
         on_retry: Optional[Callable[[int, int, Status], None]] = None,
         on_start: Optional[Callable[[int, int], None]] = None,
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
+        if retries < 0:
+            raise ValueError("retries must be non-negative")
         self.workers = workers
         self.budget = budget or WorkerBudget()
-        self.retry = retry or RetryPolicy()
+        #: Extra attempts a task that failed with ``ERROR`` may make.
+        self.retries = retries
         self.fault_plan = fault_plan
         self.on_retry = on_retry
         #: Called as ``on_start(index, attempt)`` right after a worker
@@ -445,10 +436,10 @@ class Supervisor:
             self._fail_or_retry(slot, failure, queue, on_complete)
 
     def _fail_or_retry(self, slot, failure, queue, on_complete) -> None:
-        if self.retry.should_retry(failure.status, slot.attempt):
+        if failure.status is Status.ERROR and slot.attempt <= self.retries:
             if self.on_retry is not None:
                 self.on_retry(slot.index, slot.attempt, failure.status)
-            delay = self.retry.delay_for(slot.attempt)
+            delay = retry_delay(slot.attempt)
             queue.append(_Queued(
                 index=slot.index,
                 attempt=slot.attempt + 1,

@@ -259,6 +259,8 @@ class SolveService:
             shed=self.total_shed,
         )
         self.observer.flush()
+        if self.runner.journal is not None:
+            self.runner.journal.close()
 
     @property
     def active(self) -> int:

@@ -11,7 +11,7 @@ compiler are present (:mod:`repro.solver.kernel`), with identical
 search.
 """
 
-from repro.solver.types import Status, Model, encode, decode, negate, variable_of
+from repro.solver.types import Status, Model, encode, decode
 from repro.solver.statistics import SolverStatistics
 from repro.solver.arena import (
     ArenaClauseView,
@@ -35,8 +35,6 @@ __all__ = [
     "Model",
     "encode",
     "decode",
-    "negate",
-    "variable_of",
     "SolverStatistics",
     "ClauseArena",
     "ArenaClauseView",

@@ -265,10 +265,6 @@ class ClauseArena:
             if learned[cid] and not garbage[cid]
         ]
 
-    def live_clauses(self) -> List[ArenaClauseView]:
-        """Views of all live clauses (audit / inspection helper)."""
-        return [self.view(cid) for cid in self.live_ids()]
-
     @property
     def num_learned(self) -> int:
         return self._num_learned_live
@@ -346,9 +342,6 @@ class ArenaTrail:
     def value_lit(self, lit: int) -> int:
         """TRUE / FALSE / UNASSIGNED for an internal literal."""
         return self.lit_values[lit]
-
-    def is_assigned(self, var: int) -> bool:
-        return self.lit_values[var << 1] != UNASSIGNED
 
     def num_assigned(self) -> int:
         return len(self.trail)

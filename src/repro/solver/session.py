@@ -37,8 +37,7 @@ outside that range, exactly like :meth:`Solver.add_clause`.
 
 from __future__ import annotations
 
-import time
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Union
 
 from repro.cnf.formula import CNF
 from repro.obs.observer import NULL_OBSERVER, Observer
@@ -106,12 +105,6 @@ class SolverSession:
             literals = tuple(literals[0])
         self.solver.add_clause(literals)
         self.added_clauses += 1
-        return self
-
-    def add_clauses(self, clauses: Iterable[Sequence[int]]) -> "SolverSession":
-        """Add several clauses at once."""
-        for clause in clauses:
-            self.add(*clause)
         return self
 
     def assume(self, *literals: int) -> "SolverSession":
@@ -233,11 +226,3 @@ def replay_schedule(
             raise ValueError(f"unknown schedule op {op!r}")
     return results
 
-
-def timed_session_solve(
-    session: SolverSession, **kwargs
-) -> Tuple[SolveResult, float]:
-    """``session.solve`` plus wall-clock seconds (serve bookkeeping)."""
-    start = time.perf_counter()
-    result = session.solve(**kwargs)
-    return result, time.perf_counter() - start

@@ -38,26 +38,6 @@ def decode(lit: int) -> int:
     return var if (lit & 1) == 0 else -var
 
 
-def negate(lit: int) -> int:
-    """Negation of an internal literal."""
-    return lit ^ 1
-
-
-def variable_of(lit: int) -> int:
-    """Variable (1-based) of an internal literal."""
-    return lit >> 1
-
-
-def is_positive(lit: int) -> bool:
-    """True for the positive polarity of an internal literal."""
-    return (lit & 1) == 0
-
-
-def lit_sign_value(lit: int) -> int:
-    """Truth value that satisfies this literal (TRUE for positive)."""
-    return FALSE if (lit & 1) else TRUE
-
-
 class Status(enum.Enum):
     """Outcome of a solve call or a supervised solve attempt.
 

@@ -8,6 +8,8 @@ documentation — the "doc comments on every public item" deliverable.
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -62,20 +64,20 @@ def test_version_string():
     assert repro.__version__.count(".") == 2
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+DOCS = [ROOT / "README.md", ROOT / "DESIGN.md", *sorted(ROOT.glob("docs/*.md"))]
+
+
 def _documented_imports():
     """``(doc, module, name)`` for every ``from repro... import name`` in a
     ``python`` code block of README.md, DESIGN.md and docs/*.md."""
-    import re
-    from pathlib import Path
-
-    root = Path(__file__).resolve().parent.parent
     block = re.compile(r"^```python\n(.*?)^```", re.M | re.S)
     statement = re.compile(
         r"^\s*from\s+(repro[\w.]*)\s+import\s+(\([^)]*\)|[^\n]+)", re.M
     )
-    docs = [root / "README.md", root / "DESIGN.md", *sorted(root.glob("docs/*.md"))]
     found = []
-    for doc in docs:
+    for doc in DOCS:
         for code in block.findall(doc.read_text(encoding="utf-8")):
             for module, names in statement.findall(code):
                 names = re.sub(r"#[^\n]*", "", names).strip("()")
@@ -95,3 +97,39 @@ def test_documented_imports_resolve():
         if not hasattr(importlib.import_module(module), name)
     ]
     assert not missing, missing
+
+
+def _resolves(dotted):
+    """True when ``repro.a.b`` names a module or an attribute chain in one."""
+    parts = dotted.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:split]))
+        except ImportError:
+            continue
+        for attr in parts[split:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def test_documented_names_resolve():
+    """Every backticked ``repro.x.y`` name and ``repro/x/y.py`` path in
+    README.md, DESIGN.md and docs/*.md still exists."""
+    dotted = re.compile(r"`(repro(?:\.\w+)+)")
+    path = re.compile(r"`(?:src/)?(repro/[\w/]+\.\w+)")
+    checked, stale = 0, []
+    for doc in DOCS:
+        text = doc.read_text(encoding="utf-8")
+        for match in dotted.finditer(text):
+            checked += 1
+            if not _resolves(match.group(1)):
+                stale.append(f"{doc.name}: {match.group(1)}")
+        for match in path.finditer(text):
+            checked += 1
+            if not (ROOT / "src" / match.group(1)).exists():
+                stale.append(f"{doc.name}: {match.group(1)}")
+    assert checked, "no documented names found"
+    assert not stale, stale

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cnf import CNF
-from repro.cnf.encodings import at_least_k, at_most_k, at_most_one, exactly_k
+from repro.cnf.encodings import at_most_k
 from repro.solver import Solver, Status
 
 
@@ -64,53 +64,6 @@ class TestAtMostK:
             if sum(not b for b in bits) <= 1
         }
         assert models == expected
-
-
-class TestAtLeastAndExactly:
-    @pytest.mark.parametrize("n,k", [(3, 2), (4, 1), (4, 4)])
-    def test_at_least(self, n, k):
-        literals = list(range(1, n + 1))
-        clauses, _ = at_least_k(literals, k, n + 1)
-        cnf = CNF(clauses, num_vars=n)
-        models = count_models_projected(cnf, n)
-        expected = {
-            bits
-            for bits in itertools.product([False, True], repeat=n)
-            if sum(bits) >= k
-        }
-        assert models == expected
-
-    def test_at_least_zero_is_free(self):
-        clauses, _ = at_least_k([1, 2], 0, 3)
-        assert clauses == []
-
-    def test_at_least_more_than_n_unsat(self):
-        clauses, _ = at_least_k([1, 2], 3, 3)
-        cnf = CNF(clauses, num_vars=2)
-        assert Solver(cnf).solve().status is Status.UNSATISFIABLE
-
-    @pytest.mark.parametrize("n,k", [(3, 0), (3, 1), (3, 2), (3, 3)])
-    def test_exactly(self, n, k):
-        literals = list(range(1, n + 1))
-        clauses, _ = exactly_k(literals, k, n + 1)
-        cnf = CNF(clauses, num_vars=n)
-        models = count_models_projected(cnf, n)
-        expected = {
-            bits
-            for bits in itertools.product([False, True], repeat=n)
-            if sum(bits) == k
-        }
-        assert models == expected
-
-
-class TestAtMostOne:
-    def test_pairwise(self):
-        clauses = at_most_one([1, 2, 3])
-        assert len(clauses) == 3
-        cnf = CNF(clauses, num_vars=3)
-        models = count_models_projected(cnf, 3)
-        assert all(sum(bits) <= 1 for bits in models)
-        assert len(models) == 4  # 000, 100, 010, 001
 
 
 @settings(max_examples=30, deadline=None)

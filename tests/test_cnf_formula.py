@@ -31,19 +31,12 @@ class TestClause:
         assert not Clause([1, 2]).is_tautology()
 
     def test_unit_and_empty(self):
-        assert Clause([5]).is_unit()
-        assert not Clause([5, 6]).is_unit()
+        assert len(Clause([5])) == 1
+        assert not Clause([5]).is_empty()
         assert Clause([]).is_empty()
 
     def test_variables(self):
         assert Clause([-3, 1, -2]).variables == (3, 1, 2)
-
-    def test_satisfied_by_partial_assignment(self):
-        clause = Clause([1, -2])
-        assert clause.satisfied_by([None, True, None])
-        assert clause.satisfied_by([None, False, False])
-        assert not clause.satisfied_by([None, False, None])
-        assert not clause.satisfied_by([None, None, None])
 
 
 class TestCNF:

@@ -7,7 +7,6 @@ from repro.cnf import (
     GeneratorSpec,
     cardinality_conflict,
     community_sat,
-    generate_family,
     graph_coloring,
     parity_chain,
     pigeonhole,
@@ -159,13 +158,6 @@ class TestFamilyRegistry:
             "community_sat",
             "cardinality_conflict",
         }
-
-    def test_generate_family_counts_and_seeds(self):
-        cnfs = generate_family("random_ksat", 3, base_seed=10, num_vars=10, num_clauses=20)
-        assert len(cnfs) == 3
-        # Consecutive seeds produce distinct formulas.
-        texts = [tuple(c.literals for c in cnf.clauses) for cnf in cnfs]
-        assert len(set(texts)) == 3
 
     def test_spec_build_and_name(self):
         spec = GeneratorSpec("pigeonhole", (("holes", 3),), seed=0)

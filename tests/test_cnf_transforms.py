@@ -8,7 +8,6 @@ from repro.cnf.transforms import (
     augment,
     compact_variables,
     flip_polarity,
-    map_model_back,
     rename_variables,
     shuffle_clauses,
 )
@@ -54,7 +53,9 @@ class TestRename:
         renamed = rename_variables(cnf, mapping=mapping)
         result = Solver(renamed).solve()
         if result.status is Status.SATISFIABLE:
-            original_model = map_model_back(result.model, mapping)
+            original_model = [None] + [
+                result.model[mapping[v]] for v in range(1, cnf.num_vars + 1)
+            ]
             assert cnf.check_model(original_model)
 
 

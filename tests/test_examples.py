@@ -73,21 +73,10 @@ class TestExamples:
         assert "model checked" in proc.stdout
         assert "DRAT proof checked" in proc.stdout
 
-    def test_structure_analysis(self):
-        proc = run_example("structure_analysis.py")
-        assert proc.returncode == 0, proc.stderr
-        assert "modularity" in proc.stdout
-
     def test_batched_inference(self):
         proc = run_example("batched_inference.py")
         assert proc.returncode == 0, proc.stderr
         assert "batched inference" in proc.stdout
-
-    def test_circuit_equivalence(self):
-        proc = run_example("circuit_equivalence.py")
-        assert proc.returncode == 0, proc.stderr
-        assert "EQUIVALENT" in proc.stdout
-        assert "NOT equivalent" in proc.stdout
 
     def test_serve_client(self):
         proc = run_example("serve_client.py")

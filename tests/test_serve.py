@@ -372,6 +372,22 @@ def test_restart_resumes_from_journal(tmp_path):
         assert after.outcome.propagations == before.outcome.propagations
 
 
+def test_stop_closes_journal(tmp_path):
+    async def scenario():
+        service = SolveService(
+            _model(),
+            ServeConfig(journal=str(tmp_path / "journal.jsonl")),
+        )
+        await service.start()
+        await service.wait(service.submit(_burst(1)[0]).id)
+        handle = service.runner.journal._handle
+        assert handle is not None and not handle.closed
+        await service.stop()
+        return handle
+
+    assert asyncio.run(scenario()).closed
+
+
 def test_cancel_inflight_request():
     model = _GatedModel()
 
@@ -760,7 +776,7 @@ def test_http_metrics_includes_observer_registry():
     # Registry histograms render as cumulative buckets with +Inf.
     assert 'serve_batch_size_bucket{le="+Inf"} 1' in reply.text
     assert "serve_batch_size_count 1" in reply.text
-    assert "# TYPE runner_done counter" in reply.text
+    assert "# TYPE serve_request_wall_seconds histogram" in reply.text
     # Each fact is exported once: the /healthz totals as serve_* gauges,
     # never again as a registry instrument.
     families = re.findall(r"^# TYPE (\S+) ", reply.text, re.MULTILINE)

@@ -9,10 +9,6 @@ from repro.solver.types import (
     Status,
     decode,
     encode,
-    is_positive,
-    lit_sign_value,
-    negate,
-    variable_of,
 )
 
 
@@ -28,27 +24,6 @@ class TestEncoding:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             encode(0)
-
-    def test_negate_is_involution(self):
-        for lit in (2, 3, 10, 11):
-            assert negate(negate(lit)) == lit
-            assert negate(lit) != lit
-
-    def test_negate_flips_sign(self):
-        assert decode(negate(encode(4))) == -4
-        assert decode(negate(encode(-4))) == 4
-
-    def test_variable_of(self):
-        assert variable_of(encode(9)) == 9
-        assert variable_of(encode(-9)) == 9
-
-    def test_is_positive(self):
-        assert is_positive(encode(2))
-        assert not is_positive(encode(-2))
-
-    def test_lit_sign_value(self):
-        assert lit_sign_value(encode(1)) == TRUE
-        assert lit_sign_value(encode(-1)) == FALSE
 
 
 class TestStatus:

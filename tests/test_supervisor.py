@@ -17,11 +17,13 @@ from repro.parallel import (
     FaultPlan,
     ParallelRunner,
     ResultCache,
-    RetryPolicy,
     RunJournal,
     SolveTask,
+    Supervisor,
     WorkerBudget,
 )
+from repro.parallel import supervisor as supervisor_module
+from repro.parallel.supervisor import retry_delay
 from repro.selection import label_instances
 from repro.selection.labeling import default_labeling_config
 from repro.solver import Status
@@ -29,6 +31,12 @@ from repro.solver import Status
 #: Hang-interruption budget: generous against CI jitter, but the hang
 #: fault sleeps for an hour, so the kill is what ends the task either way.
 TIMEOUT = 2.0
+
+
+@pytest.fixture
+def no_backoff(monkeypatch):
+    """Retry at once: the backoff schedule is not under test here."""
+    monkeypatch.setattr(supervisor_module, "RETRY_BACKOFF_SECONDS", 0.0)
 
 
 def make_tasks(count=4, seed_base=10, policy="default", max_conflicts=400):
@@ -54,14 +62,13 @@ class TestConfigValidation:
 
     def test_retry_policy_rejects_negative(self):
         with pytest.raises(ValueError):
-            RetryPolicy(max_retries=-1)
+            ParallelRunner(retries=-1)
+        with pytest.raises(ValueError):
+            Supervisor(retries=-1)
 
     def test_retry_backoff_is_capped_exponential(self):
-        policy = RetryPolicy(
-            max_retries=5, backoff_seconds=1.0, multiplier=2.0,
-            max_backoff_seconds=3.0,
-        )
-        assert [policy.delay_for(k) for k in (1, 2, 3, 4)] == [1.0, 2.0, 3.0, 3.0]
+        delays = [retry_delay(k) for k in range(1, 10)]
+        assert delays == [0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 30.0, 30.0, 30.0]
 
     def test_fault_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -148,11 +155,12 @@ class TestFailureIsolation:
         assert outcomes[0].status.decided and outcomes[2].status.decided
 
 
+@pytest.mark.usefixtures("no_backoff")
 class TestRetry:
     def test_transient_error_succeeds_on_retry(self):
         tasks = make_tasks(3)
         runner = ParallelRunner(
-            workers=2, retries=2, retry_backoff=0.0,
+            workers=2, retries=2,
             fault_plan=FaultPlan({1: Fault("raise", attempts=1)}),
         )
         outcomes = runner.run(tasks)
@@ -164,7 +172,7 @@ class TestRetry:
     def test_permanent_error_exhausts_retries(self):
         tasks = make_tasks(2)
         runner = ParallelRunner(
-            workers=1, retries=2, retry_backoff=0.0,
+            workers=1, retries=2,
             fault_plan=FaultPlan({0: Fault("raise")}),
         )
         outcomes = runner.run(tasks)
@@ -175,26 +183,12 @@ class TestRetry:
     def test_timeouts_are_not_retried_by_default(self):
         tasks = make_tasks(1)
         runner = ParallelRunner(
-            workers=1, retries=3, retry_backoff=0.0, task_timeout=TIMEOUT,
+            workers=1, retries=3, task_timeout=TIMEOUT,
             fault_plan=FaultPlan({0: Fault("hang")}),
         )
         outcomes = runner.run(tasks)
         assert outcomes[0].status is Status.TIMEOUT
         assert outcomes[0].attempts == 1  # deterministic failure: one try
-
-    def test_timeout_retry_opt_in(self):
-        tasks = make_tasks(1)
-        runner = ParallelRunner(
-            workers=1, task_timeout=TIMEOUT,
-            retry_policy=RetryPolicy(
-                max_retries=1, backoff_seconds=0.0,
-                retry_statuses=(Status.TIMEOUT,),
-            ),
-            fault_plan=FaultPlan({0: Fault("hang", attempts=1)}),
-        )
-        outcomes = runner.run(tasks)
-        assert outcomes[0].status.decided
-        assert outcomes[0].attempts == 2
 
 
 class TestJournalResume:
@@ -325,7 +319,7 @@ class TestCacheRobustness:
 
 
 class TestLabelingSweepAcceptance:
-    def test_faulty_sweep_completes_and_resumes(self, tmp_path):
+    def test_faulty_sweep_completes_and_resumes(self, tmp_path, no_backoff):
         """The acceptance scenario: 1 hang, 1 crash, 1 transient error.
 
         The hang is timed out, the crash yields an ERROR outcome without
@@ -343,7 +337,7 @@ class TestLabelingSweepAcceptance:
             4: Fault("raise", attempts=1),     # instance 2: transient
         })
         runner = ParallelRunner(
-            workers=2, task_timeout=TIMEOUT, retries=1, retry_backoff=0.0,
+            workers=2, task_timeout=TIMEOUT, retries=1,
             fault_plan=plan, journal=journal_path,
         )
         comparisons = label_instances(cnfs, max_conflicts=400, runner=runner)
