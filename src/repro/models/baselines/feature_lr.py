@@ -16,7 +16,7 @@ import numpy as np
 from repro.cnf.features import extract_features
 from repro.cnf.formula import CNF
 from repro.nn.layers import Linear, Module
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, no_grad
 
 
 class FeatureVector:
@@ -64,7 +64,8 @@ class FeatureLogisticRegression(Module):
 
     def predict_proba(self, instance) -> float:
         vector = instance if isinstance(instance, FeatureVector) else FeatureVector(instance)
-        raw = float(self.forward(vector).data.ravel()[0])
+        with no_grad():
+            raw = float(self.forward(vector).data.ravel()[0])
         return float(1.0 / (1.0 + np.exp(-np.clip(raw, -60.0, 60.0))))
 
     def predict(self, instance, threshold: float = 0.5) -> int:

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.graph.bipartite import BipartiteGraph
 from repro.nn.layers import Linear, MLP, Module
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, no_grad
 
 
 class GINHalfLayer(Module):
@@ -64,7 +64,8 @@ class GINClassifier(Module):
 
     def predict_proba(self, instance) -> float:
         graph = instance if isinstance(instance, BipartiteGraph) else BipartiteGraph(instance)
-        logit = self.forward(graph)
+        with no_grad():
+            logit = self.forward(graph)
         raw = float(logit.data.ravel()[0])
         return float(1.0 / (1.0 + np.exp(-np.clip(raw, -60.0, 60.0))))
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.graph.lcg import LiteralClauseGraph
 from repro.nn.layers import Linear, MLP, Module
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, no_grad
 
 
 class NeuroSATClassifier(Module):
@@ -74,7 +74,8 @@ class NeuroSATClassifier(Module):
             if isinstance(instance, LiteralClauseGraph)
             else LiteralClauseGraph(instance)
         )
-        logit = self.forward(graph)
+        with no_grad():
+            logit = self.forward(graph)
         raw = float(logit.data.ravel()[0])
         return float(1.0 / (1.0 + np.exp(-np.clip(raw, -60.0, 60.0))))
 

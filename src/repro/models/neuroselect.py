@@ -18,7 +18,7 @@ from repro.graph.bipartite import BipartiteGraph
 from repro.models.hgt import HGTLayer
 from repro.models.readout import READOUTS
 from repro.nn.layers import Linear, MLP, Module
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, no_grad
 
 
 class NeuroSelect(Module):
@@ -88,15 +88,21 @@ class NeuroSelect(Module):
 
     def predict_proba_batch(self, batch) -> list:
         """Per-member probabilities for a batched graph."""
-        logits = self.forward_batch(batch).data.ravel()
+        with no_grad():
+            logits = self.forward_batch(batch).data.ravel()
         return [
             float(1.0 / (1.0 + np.exp(-np.clip(raw, -60.0, 60.0)))) for raw in logits
         ]
 
     def predict_proba(self, instance) -> float:
-        """P(frequency policy wins) for a CNF or a prebuilt graph."""
+        """P(frequency policy wins) for a CNF or a prebuilt graph.
+
+        Runs under :func:`~repro.nn.tensor.no_grad`, as does
+        :meth:`predict_proba_batch`: inference records no autograd graph.
+        """
         graph = instance if isinstance(instance, BipartiteGraph) else BipartiteGraph(instance)
-        logit = self.forward(graph)
+        with no_grad():
+            logit = self.forward(graph)
         raw = float(logit.data.ravel()[0])
         return float(1.0 / (1.0 + np.exp(-np.clip(raw, -60.0, 60.0))))
 

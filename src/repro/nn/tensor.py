@@ -10,15 +10,47 @@ nothing more.
 
 Broadcasting follows numpy semantics; gradients of broadcast operands are
 summed back over the broadcast axes (:func:`_unbroadcast`).
+
+Inside :func:`no_grad` nothing is recorded: every op returns a bare result
+that keeps no reference to its inputs, so an inference pass frees each
+intermediate as soon as the next layer has consumed it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+import threading
+from contextlib import contextmanager
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 ArrayLike = Union["Tensor", np.ndarray, float, int, list]
+
+
+class _GradMode(threading.local):
+    """Per-thread recording switch; every thread starts with recording on."""
+
+    enabled = True
+
+
+_GRAD_MODE = _GradMode()
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Record no autograd graph in this thread while the block runs.
+
+    Mirrors ``torch.no_grad``: ops return tensors with ``requires_grad=False``
+    and no parents or backward closure, while parameters keep their own
+    ``requires_grad``.  The switch is thread-local, nests, and restores the
+    previous state on exit, exceptions included.
+    """
+    previous = _GRAD_MODE.enabled
+    _GRAD_MODE.enabled = False
+    try:
+        yield
+    finally:
+        _GRAD_MODE.enabled = previous
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -123,8 +155,8 @@ class Tensor:
         backward: Callable[[np.ndarray], None],
     ) -> "Tensor":
         out = Tensor(data)
-        out.requires_grad = any(p.requires_grad for p in parents)
-        if out.requires_grad:
+        if _GRAD_MODE.enabled and any(p.requires_grad for p in parents):
+            out.requires_grad = True
             out._parents = tuple(parents)
             out._backward = backward
         return out

@@ -96,6 +96,41 @@ def test_logits_match_frozen_reference(reference, name):
     )
 
 
+def _sigmoid(raw: float) -> float:
+    """The probability formula of ``NeuroSelect.predict_proba*``."""
+    return float(1.0 / (1.0 + np.exp(-np.clip(raw, -60.0, 60.0))))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_inference_path_matches_frozen_reference(reference, name):
+    """``predict_proba`` / ``predict_proba_batch`` run without the autograd
+    tape; their probabilities stay those of the frozen logits, bit for bit,
+    and no parameter gains a gradient."""
+    model = NeuroSelect(hidden_dim=32, seed=0)
+    outputs = []
+    for method in ("forward", "forward_batch"):
+        setattr(model, method, _keeping_outputs(getattr(model, method), outputs))
+    graphs = CASES[name]()
+    if name == "single":
+        probabilities = [model.predict_proba(g) for g in graphs]
+    else:
+        probabilities = model.predict_proba_batch(batch_graphs(graphs))
+    assert probabilities == [_sigmoid(raw) for raw in reference[name]]
+    assert all(p.grad is None for p in model.parameters())
+    assert outputs and all(
+        not out.requires_grad and out._parents == () for out in outputs
+    )
+
+
+def _keeping_outputs(method, outputs):
+    def wrapper(*args):
+        out = method(*args)
+        outputs.append(out)
+        return out
+
+    return wrapper
+
+
 def test_training_matches_frozen_reference(reference):
     expected = reference["training"]
     actual = compute_training()

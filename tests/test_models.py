@@ -6,6 +6,7 @@ import pytest
 from repro.cnf import CNF, random_ksat
 from repro.graph import BipartiteGraph, LiteralClauseGraph
 from repro.models import (
+    FeatureLogisticRegression,
     GINClassifier,
     HGTLayer,
     LinearAttention,
@@ -211,6 +212,27 @@ class TestBaselines:
         assert model.graph_type is graph_cls
         p = model.predict_proba(cnf)
         assert 0.0 <= p <= 1.0
+
+    @pytest.mark.parametrize(
+        "model_cls", [NeuroSATClassifier, GINClassifier, FeatureLogisticRegression]
+    )
+    def test_predict_proba_records_no_graph(self, model_cls):
+        """Inference runs under ``no_grad``: the forward output keeps no
+        graph, and the probability is the recording pass's, bit for bit."""
+        model = model_cls(seed=0)
+        forward, calls = model.forward, []
+
+        def keeping(instance):
+            calls.append((instance, forward(instance)))
+            return calls[-1][1]
+
+        model.forward = keeping
+        p = model.predict_proba(random_ksat(10, 30, seed=3))
+        ((instance, out),) = calls
+        assert not out.requires_grad and out._parents == ()
+        recorded = forward(instance)
+        assert recorded.requires_grad
+        assert p == float(recorded.sigmoid().data.ravel()[0])
 
     def test_neurosat_rounds_change_output(self):
         cnf = random_ksat(10, 30, seed=3)

@@ -1,11 +1,15 @@
-"""Tests for the autograd engine: every op's gradient vs finite differences."""
+"""Tests for the autograd engine: every op's gradient vs finite differences,
+and the ``no_grad`` switch that turns recording off."""
+
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.nn import Tensor, concat_rows, ones, tensor, zeros
+from repro.nn import MLP, Tensor, concat_rows, no_grad, ones, tensor, zeros
 from repro.nn.tensor import segment_sum
 
 
@@ -236,6 +240,153 @@ class TestAutogradMechanics:
         assert zeros(2, 3).shape == (2, 3)
         assert ones(4).data.sum() == 4
         assert tensor([1, 2]).data.dtype == np.float64
+
+
+#: name -> op on a (4, 3) tensor that requires grad; covers every op.
+OPS = {
+    "add": lambda t: t + 1.0,
+    "radd": lambda t: 1.0 + t,
+    "neg": lambda t: -t,
+    "sub": lambda t: t - 1.0,
+    "rsub": lambda t: 1.0 - t,
+    "mul": lambda t: t * t,
+    "truediv": lambda t: t / 2.0,
+    "rtruediv": lambda t: 2.0 / t,
+    "pow": lambda t: t**2,
+    "matmul": lambda t: t @ t.T,
+    "transpose": lambda t: t.T,
+    "reshape": lambda t: t.reshape(3, 4),
+    "getitem_basic": lambda t: t[1:3],
+    "getitem_fancy": lambda t: t[np.array([0, 0, 2])],
+    "sum": lambda t: t.sum(),
+    "mean": lambda t: t.mean(axis=0),
+    "max": lambda t: t.max(axis=1),
+    "relu": lambda t: t.relu(),
+    "sigmoid": lambda t: t.sigmoid(),
+    "tanh": lambda t: t.tanh(),
+    "exp": lambda t: t.exp(),
+    "log": lambda t: t.log(),
+    "sqrt": lambda t: t.sqrt(),
+    "gather_rows": lambda t: t.gather_rows(np.array([3, 0, 3])),
+    "scatter_sum": lambda t: t.scatter_sum(np.array([1, 0, 1, 1]), 2),
+    "concat_rows": lambda t: concat_rows([t, Tensor(np.ones((2, 3))), t]),
+}
+
+
+def _param() -> Tensor:
+    return Tensor(RNG.uniform(0.5, 2.0, size=(4, 3)), requires_grad=True)
+
+
+def _records_nothing(out: Tensor) -> bool:
+    return not out.requires_grad and out._parents == () and out._backward is None
+
+
+class TestNoGrad:
+    @pytest.mark.parametrize("name", sorted(OPS))
+    def test_op_records_nothing_and_keeps_values(self, name):
+        t = _param()
+        recorded = OPS[name](t)
+        with no_grad():
+            bare = OPS[name](t)
+        assert recorded.requires_grad and _records_nothing(bare)
+        assert t.requires_grad and t.grad is None
+        np.testing.assert_array_equal(bare.data, recorded.data)
+
+    def test_nesting_restores_previous_state(self):
+        t = _param()
+        with no_grad():
+            with no_grad():
+                assert _records_nothing(t * 2)
+            assert _records_nothing(t * 2)
+        assert (t * 2).requires_grad
+
+    def test_exception_restores_previous_state(self):
+        t = _param()
+        with pytest.raises(RuntimeError):
+            with no_grad():
+                raise RuntimeError("forward pass failed")
+        out = (t * 2).sum()
+        assert out.requires_grad
+        out.backward()
+        np.testing.assert_array_equal(t.grad, np.full((4, 3), 2.0))
+
+    def test_switch_is_thread_local(self):
+        """A thread parked inside ``no_grad`` leaves another thread's
+        forward and backward pass exactly as a serial run computes them."""
+        x = Tensor(RNG.normal(size=(5, 3)))
+
+        def train_step():
+            model = MLP([3, 4, 1], rng=np.random.default_rng(7))
+            model(x).sum().backward()
+            return [p.grad for p in model.parameters()]
+
+        serial = train_step()
+        entered, release = threading.Event(), threading.Event()
+        results = {}
+
+        def inference():
+            with no_grad():
+                entered.set()
+                release.wait(timeout=10)
+                results["inference"] = OPS["matmul"](_param())
+
+        def training():
+            results["grads"] = train_step()
+
+        parked = threading.Thread(target=inference)
+        parked.start()
+        assert entered.wait(timeout=10)
+        worker = threading.Thread(target=training)
+        worker.start()
+        worker.join(timeout=10)
+        release.set()
+        parked.join(timeout=10)
+        assert not worker.is_alive() and not parked.is_alive()
+        assert _records_nothing(results["inference"])
+        assert len(results["grads"]) == len(serial)
+        for concurrent, expected in zip(results["grads"], serial):
+            np.testing.assert_array_equal(concurrent, expected)
+
+    def test_switch_is_thread_local_under_contention(self):
+        """Eight threads on two kinds of pass, switching every few
+        microseconds: no inference pass records and no training pass
+        loses its graph."""
+        x = Tensor(RNG.normal(size=(5, 3)))
+        model = MLP([3, 4, 1], rng=np.random.default_rng(7))
+        model(x).sum().backward()
+        serial = [p.grad.copy() for p in model.parameters()]
+        failures = []
+        start = threading.Barrier(8)
+
+        def inference():
+            start.wait(timeout=10)
+            for _ in range(200):
+                with no_grad():
+                    if not _records_nothing(model(x)):
+                        failures.append("inference recorded a graph")
+
+        def training():
+            start.wait(timeout=10)
+            for _ in range(200):
+                local = MLP([3, 4, 1], rng=np.random.default_rng(7))
+                local(x).sum().backward()
+                grads = [p.grad for p in local.parameters()]
+                if not all(np.array_equal(g, s) for g, s in zip(grads, serial)):
+                    failures.append("training lost gradients")
+
+        threads = [threading.Thread(target=fn) for fn in (inference, training) * 4]
+        assert len(threads) == start.parties
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
 
 
 @settings(max_examples=30, deadline=None)
