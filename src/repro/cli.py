@@ -18,12 +18,12 @@ Subcommands mirror the library's workflow:
   resolve store run ids (``repro report r-1f2e3d4c5b6a`` or
   ``--latest kind=bench``), or rebuild EXPERIMENTS.md when called bare
 * ``query``      — interrogate the run store: ``runs`` / ``metrics`` /
-  ``traces`` / ``bench-trend`` with kind/status/commit/time filters and
-  table, csv, or json output (see ``docs/run_store.md``)
+  ``traces`` with kind/status/commit/time filters and table, csv, or
+  json output (see ``docs/run_store.md``)
 * ``trend``      — ingest ``BENCH_*.json`` files across commits into
-  the store, print rolling-baseline deltas, and (with
-  ``--check-regression``) exit nonzero when the newest measurement
-  regressed past the threshold — the CI bench gate
+  the store, print rolling-baseline deltas of the arena/legacy BCP
+  ratio, and (with ``--check-regression``) exit nonzero when the newest
+  aggregate ratio regressed more than 10% — the CI BCP gate
 * ``serve``      — long-lived solve service (JSON over HTTP, localhost):
   admission control, batched policy inference, supervised solve fan-out,
   opt-in resilience (circuit breaker, deadline propagation — see
@@ -137,32 +137,44 @@ def _parse_icnf(text: str):
     order.  Accepts plain DIMACS too (no ``a`` lines): the whole file
     becomes add steps and one final unassumed solve.  ``p inccnf`` and
     ``p cnf V C`` headers are both honored; without one, ``num_vars``
-    is the largest variable mentioned.
+    is the largest variable mentioned.  Malformed input raises
+    :class:`DimacsError` naming the line, as ``parse_dimacs`` does.
     """
     steps = []
     num_vars = 0
     group: List[int] = []
     assuming = False
     saw_solve = False
-    for raw in text.splitlines():
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
             fields = line.split()
             if len(fields) >= 3 and fields[1] == "cnf":
-                num_vars = max(num_vars, int(fields[2]))
+                try:
+                    num_vars = max(num_vars, int(fields[2]))
+                except ValueError as exc:
+                    raise DimacsError(
+                        f"line {line_no}: non-integer header field"
+                    ) from exc
             continue  # "p inccnf" carries no counts
         tokens = line.split()
         if tokens[0] == "a":
             if group:
-                raise ValueError(
-                    "assumption line inside an unterminated clause"
+                raise DimacsError(
+                    f"line {line_no}: assumption line inside an "
+                    f"unterminated clause"
                 )
             assuming = True
             tokens = tokens[1:]
         for token in tokens:
-            lit = int(token)
+            try:
+                lit = int(token)
+            except ValueError as exc:
+                raise DimacsError(
+                    f"line {line_no}: bad token {token!r}"
+                ) from exc
             if lit == 0:
                 if assuming:
                     steps.append(("solve", group))
@@ -186,8 +198,8 @@ def _solve_incremental(args) -> int:
     """Handle ``repro solve --incremental``: one warm session, many calls."""
     from pathlib import Path
 
-    obs = _observer_from_args(args, "solve", policy=args.policy)
     num_vars, steps = _parse_icnf(Path(args.file).read_text(encoding="utf-8"))
+    obs = _observer_from_args(args, "solve", policy=args.policy)
     session = SolverSession(
         num_vars,
         policy=get_policy(args.policy),
@@ -815,8 +827,8 @@ def _add_query_common(p) -> None:
 def _add_query(subparsers) -> None:
     p = subparsers.add_parser(
         "query",
-        help="interrogate the run store (runs / metrics / traces / "
-             "bench-trend); see docs/run_store.md for a cookbook",
+        help="interrogate the run store (runs / metrics / traces); "
+             "see docs/run_store.md for a cookbook",
     )
     sub = p.add_subparsers(dest="query_command", required=True)
 
@@ -859,25 +871,6 @@ def _add_query(subparsers) -> None:
     traces.add_argument("--kind", help="only artifacts of runs of this kind")
     _add_query_common(traces)
 
-    trend = sub.add_parser(
-        "bench-trend",
-        help="benchmark series with rolling-baseline deltas",
-    )
-    trend.add_argument("--workload",
-                       help="one workload (3sat, mixed, binary, long, "
-                            "aggregate); default: all")
-    trend.add_argument("--engine",
-                       help="one engine series (legacy, arena; older "
-                            "results also carry new) — props_per_sec "
-                            "metric only")
-    trend.add_argument("--metric", default="speedup",
-                       choices=("speedup", "props_per_sec"),
-                       help="derived arena-vs-legacy ratio (default) or "
-                            "raw per-engine throughput")
-    trend.add_argument("--window", type=int, default=5,
-                       help="rolling-baseline depth in measurements")
-    _add_query_common(trend)
-
     p.set_defaults(func=cmd_query)
 
 
@@ -887,8 +880,6 @@ def cmd_query(args) -> int:
         ARTIFACT_COLUMNS,
         METRIC_COLUMNS,
         RUN_COLUMNS,
-        TREND_COLUMNS,
-        bench_trend,
         format_rows,
         humanize_unix,
     )
@@ -916,23 +907,12 @@ def cmd_query(args) -> int:
                 limit=args.limit,
             )
             columns = list(METRIC_COLUMNS)
-        elif args.query_command == "traces":
+        else:  # traces
             role = None if args.role in ("all", "any", "*") else args.role
             rows = store.artifacts(
                 run_id=args.run, role=role, kind=args.kind, limit=args.limit
             )
             columns = list(ARTIFACT_COLUMNS)
-        else:  # bench-trend
-            rows = bench_trend(
-                store,
-                metric=args.metric,
-                workload=args.workload,
-                engine=args.engine,
-                window=args.window,
-            )
-            if args.limit is not None:
-                rows = rows[-args.limit:]
-            columns = list(TREND_COLUMNS)
         print(format_rows(rows, columns, args.format))
     return 0
 
@@ -952,24 +932,10 @@ def _add_trend(subparsers) -> None:
     p.add_argument("--commit",
                    help="commit ref stamped on ingested files that carry "
                         "none (older BENCH files predate the git stamp)")
-    p.add_argument("--metric", default="speedup",
-                   choices=("speedup", "props_per_sec"),
-                   help="series to trend: the host-independent "
-                        "arena-vs-legacy ratio (default) or raw throughput")
-    p.add_argument("--workload", help="restrict the printed trend rows")
-    p.add_argument("--engine",
-                   help="restrict to one engine (props_per_sec metric only)")
-    p.add_argument("--window", type=int, default=5,
-                   help="rolling-baseline depth in measurements")
-    p.add_argument("--threshold", type=float, default=0.10,
-                   help="regression gate: fail when the newest value drops "
-                        "more than this fraction below the baseline")
     p.add_argument("--check-regression", action="store_true",
-                   help="exit 1 when any gated series regressed past the "
-                        "threshold (the CI contract)")
-    p.add_argument("--per-workload", action="store_true",
-                   help="gate every workload series, not just the "
-                        "host-independent aggregate")
+                   help="exit 1 when the newest aggregate arena/legacy "
+                        "ratio is more than 10%% below its rolling "
+                        "baseline (the CI BCP gate)")
     p.add_argument("--format", default="table",
                    choices=("table", "csv", "json"),
                    help="trend row output format (default: table)")
@@ -981,6 +947,7 @@ def _add_trend(subparsers) -> None:
 def cmd_trend(args) -> int:
     """Handle ``repro trend``: ingest + trend + optional regression gate."""
     from repro.store import (
+        REGRESSION_THRESHOLD,
         TREND_COLUMNS,
         StoreIngestError,
         bench_trend,
@@ -995,29 +962,16 @@ def cmd_trend(args) -> int:
             except StoreIngestError as exc:
                 raise SystemExit(f"cannot ingest {path}: {exc}")
             print(f"c ingested {path}: {count} series rows", file=sys.stderr)
-        rows = bench_trend(
-            store,
-            metric=args.metric,
-            workload=args.workload,
-            engine=args.engine,
-            window=args.window,
-        )
-        print(format_rows(rows, list(TREND_COLUMNS), args.format))
+        print(format_rows(bench_trend(store), list(TREND_COLUMNS), args.format))
         if args.check_regression:
-            check = check_regression(
-                store,
-                threshold=args.threshold,
-                window=args.window,
-                metric=args.metric,
-                per_workload=args.per_workload,
-            )
+            check = check_regression(store)
             if not check.ok:
                 for failure in check.failures:
                     print(f"REGRESSION: {failure}", file=sys.stderr)
                 return 1
             print(
                 f"c trend gate: {check.checked} series within "
-                f"{100 * args.threshold:.0f}% of their rolling baseline",
+                f"{100 * REGRESSION_THRESHOLD:.0f}% of their rolling baseline",
                 file=sys.stderr,
             )
     return 0

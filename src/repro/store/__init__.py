@@ -6,9 +6,9 @@ the fleet-scale accounting the ROADMAP names.  One SQLite database
 (:class:`~repro.store.store.RunStore`) indexes every observed run into
 ``runs`` / ``phases`` / ``metrics`` / ``artifacts`` rows, plus
 ``bench_results`` series flattened from ``BENCH_*.json`` files, so
-questions like *"which labelling sweeps ran last week"*, *"did arena
-props/sec regress since commit X"*, or *"which chaos scenarios ever
-went red"* are one query instead of a JSONL grep.
+questions like *"which labelling sweeps ran last week"*, *"did the
+arena/legacy BCP ratio regress since commit X"*, or *"which chaos
+scenarios ever went red"* are one query instead of a JSONL grep.
 
 Auto-registration is caller-free: ``start_run`` registers every traced
 run the moment its trace is created (status ``running``), and
@@ -20,11 +20,11 @@ their artifacts the same way.  Set ``REPRO_STORE=off`` to disable.
 
 Surfaces:
 
-* ``repro query runs|metrics|traces|bench-trend`` — filterable
-  table/csv/json output (:mod:`repro.store.render`);
-* ``repro trend`` — ingest ``BENCH_*.json`` across commits, compute
-  rolling-baseline deltas, and gate regressions
-  (:mod:`repro.store.trend`);
+* ``repro query runs|metrics|traces`` — filterable table/csv/json
+  output (:mod:`repro.store.render`);
+* ``repro trend`` — ingest ``BENCH_*.json`` across commits, print
+  rolling-baseline deltas of the arena/legacy BCP ratio, and gate
+  regressions (:mod:`repro.store.trend`);
 * ``repro report <run-id>`` / ``--latest kind=bench`` — resolve trace
   artifacts through the store instead of raw paths.
 
@@ -48,8 +48,8 @@ from repro.store.store import (
     resolve_auto_store,
 )
 from repro.store.trend import (
-    DEFAULT_THRESHOLD,
-    DEFAULT_WINDOW,
+    REGRESSION_THRESHOLD,
+    TREND_WINDOW,
     TrendCheck,
     bench_trend,
     check_regression,
@@ -57,17 +57,17 @@ from repro.store.trend import (
 
 __all__ = [
     "ARTIFACT_COLUMNS",
-    "DEFAULT_THRESHOLD",
-    "DEFAULT_WINDOW",
     "FORMATS",
     "IngestReport",
     "METRIC_COLUMNS",
+    "REGRESSION_THRESHOLD",
     "RUN_COLUMNS",
     "RunStore",
     "STORE_SCHEMA_VERSION",
     "StoreError",
     "StoreIngestError",
     "TREND_COLUMNS",
+    "TREND_WINDOW",
     "TrendCheck",
     "bench_trend",
     "check_regression",

@@ -129,8 +129,8 @@ METRIC_COLUMNS = ("run_id", "kind", "name", "metric_kind", "value")
 #: Columns the ``traces``/artifact query surface exposes.
 ARTIFACT_COLUMNS = ("run_id", "kind", "role", "path", "sha256", "bytes")
 
-#: Columns the ``bench-trend`` query surface exposes.
+#: Columns ``repro trend`` prints.
 TREND_COLUMNS = (
-    "source", "commit_ref", "workload", "engine", "metric",
+    "source", "commit_ref", "workload", "engine",
     "value", "baseline", "delta_pct",
 )

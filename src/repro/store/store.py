@@ -727,29 +727,13 @@ class RunStore:
             return Path(row["path"])
         return None
 
-    def bench_rows(
-        self,
-        workload: Optional[str] = None,
-        engine: Optional[str] = None,
-    ) -> List[Dict[str, Any]]:
+    def bench_rows(self) -> List[Dict[str, Any]]:
         """Bench series rows, oldest first (trend order)."""
-        clauses: List[str] = []
-        params: List[Any] = []
-        if workload is not None:
-            clauses.append("workload = ?")
-            params.append(workload)
-        if engine is not None:
-            clauses.append("engine = ?")
-            params.append(engine)
-        sql = (
+        return [dict(row) for row in self._conn.execute(
             "SELECT run_ref, source, commit_ref, workload, engine, "
             "propagations, seconds, props_per_sec, smoke, created_unix "
-            "FROM bench_results"
-        )
-        if clauses:
-            sql += " WHERE " + " AND ".join(clauses)
-        sql += " ORDER BY created_unix, id"
-        return [dict(row) for row in self._conn.execute(sql, params)]
+            "FROM bench_results ORDER BY created_unix, id"
+        )]
 
     def counts(self) -> Dict[str, int]:
         """Row counts per table (the smoke test's round-trip check)."""

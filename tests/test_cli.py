@@ -139,6 +139,20 @@ def test_malformed_dimacs_is_one_line_error(tmp_path, command):
     assert exc.value.code == "error: line 2: bad token 'x'"
 
 
+@pytest.mark.parametrize("text,message", [
+    ("p cnf 2 1\n1 x 0\n", "error: line 2: bad token 'x'"),
+    ("p inccnf\n1 2\na 1 0\n",
+     "error: line 3: assumption line inside an unterminated clause"),
+    ("p cnf x 1\n1 0\n", "error: line 1: non-integer header field"),
+], ids=["bad-token", "assumption-in-open-clause", "bad-header"])
+def test_malformed_icnf_is_one_line_error(tmp_path, text, message):
+    path = tmp_path / "bad.icnf"
+    path.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--incremental", str(path)])
+    assert exc.value.code == message
+
+
 def test_docstring_lists_exactly_the_registered_subcommands():
     (subparsers,) = [
         action for action in repro.cli.build_parser()._actions

@@ -8,10 +8,10 @@ Pins the three contracts the store ships with:
 * **quarantine-and-continue** — corrupt, truncated, or
   schema-version-skewed inputs never abort a batch ingest; they are
   quarantined with a reason and every good input still lands;
-* **trend gating** — ``repro query bench-trend`` reproduces the
-  committed ``BENCH_bcp.json`` aggregates, and a synthetically
-  degraded newer measurement makes ``repro trend --check-regression``
-  exit nonzero.
+* **trend gating** — ``repro trend`` reproduces the committed
+  ``BENCH_bcp.json`` aggregate ratio, and a newer aggregate ratio more
+  than 10% below it makes ``repro trend --check-regression`` exit
+  nonzero.
 """
 
 import copy
@@ -30,8 +30,6 @@ from repro.store import (
     RunStore,
     StoreError,
     StoreIngestError,
-    bench_trend,
-    check_regression,
     format_rows,
     resolve_auto_store,
 )
@@ -358,41 +356,50 @@ class TestQuarantine:
 
 
 # ---------------------------------------------------------------------------
-# Acceptance: bench-trend reproduces BENCH_bcp.json; regression gate fires
+# Acceptance: repro trend reproduces BENCH_bcp.json; regression gate fires
+
+
+def _scaled_aggregate(payload, factor, created_unix):
+    """A copy of ``payload`` whose aggregate arena/legacy ratio is
+    ``factor`` times the original, stamped newer."""
+    scaled = copy.deepcopy(payload)
+    scaled["bcp"]["aggregate"]["arena"] *= factor
+    scaled["created_unix"] = created_unix
+    return scaled
 
 
 class TestBenchTrend:
     def _baseline_payload(self):
-        return json.loads(BENCH_BASELINE.read_text())
+        payload = json.loads(BENCH_BASELINE.read_text())
+        payload.setdefault("created_unix", 1700000000.0)
+        return payload
 
     def test_trend_reproduces_committed_aggregates(self, tmp_path, capsys):
         store_path = tmp_path / "s.sqlite"
         with RunStore(store_path) as store:
             store.ingest_bench(BENCH_BASELINE)
-        assert main([
-            "query", "bench-trend", "--store", str(store_path),
-            "--metric", "props_per_sec", "--workload", "aggregate",
-            "--json",
-        ]) == 0
-        rows = json.loads(capsys.readouterr().out)
+            rows = store.bench_rows()
         aggregate = self._baseline_payload()["bcp"]["aggregate"]
-        by_engine = {row["engine"]: row["value"] for row in rows}
-        for engine in ("legacy", "new", "arena"):
-            assert by_engine[engine] == pytest.approx(aggregate[engine])
-        # The derived speedup series reproduces the committed ratio of
+        by_engine = {
+            row["engine"]: row["props_per_sec"]
+            for row in rows if row["workload"] == "aggregate"
+        }
+        assert by_engine == pytest.approx(
+            {"legacy": aggregate["legacy"], "arena": aggregate["arena"]}
+        )
+        # The derived speedup row reproduces the committed ratio of
         # aggregate throughputs.
-        with RunStore(store_path) as store:
-            speedups = bench_trend(
-                store, metric="speedup", workload="aggregate"
-            )
-        (point,) = speedups
+        assert main(["trend", "--store", str(store_path), "--json"]) == 0
+        trend = json.loads(capsys.readouterr().out)
+        (point,) = [row for row in trend if row["workload"] == "aggregate"]
+        assert point["engine"] == "speedup_arena_vs_legacy"
+        assert point["baseline"] is None
         assert point["value"] == pytest.approx(
-            aggregate["arena"] / aggregate["legacy"], rel=1e-3
+            aggregate["speedup_arena_vs_legacy"], abs=1e-3
         )
 
     def test_degraded_bench_fails_regression_gate(self, tmp_path, capsys):
         baseline = self._baseline_payload()
-        baseline.setdefault("created_unix", 1700000000.0)
         b1 = tmp_path / "BENCH_base.json"
         b1.write_text(json.dumps(baseline))
 
@@ -427,42 +434,41 @@ class TestBenchTrend:
         ]) == 0
         assert "trend gate" in capsys.readouterr().err
 
-    def test_per_workload_gate_widens(self, tmp_path):
+    @pytest.mark.parametrize("factor,code", [(0.89, 1), (0.91, 0)])
+    def test_gate_bound_is_ten_percent_of_committed_ratio(
+        self, tmp_path, capsys, factor, code
+    ):
+        # The bound the deleted in-script gate enforced (fail below 0.9x
+        # the committed aggregate ratio), now held by the trend gate.
         baseline = self._baseline_payload()
-        baseline.setdefault("created_unix", 1700000000.0)
-        degraded = copy.deepcopy(baseline)
-        # Degrade exactly one workload: the aggregate-only default gate
-        # misses it, --per-workload catches it.
-        cell = degraded["bcp"]["workloads"]["3sat"]
-        cell["arena"]["seconds"] *= 3.0
-        cell["arena"]["props_per_sec"] /= 3.0
-        degraded["created_unix"] = baseline["created_unix"] + 100.0
-        b1 = tmp_path / "a.json"
+        newer = _scaled_aggregate(
+            baseline, factor, baseline["created_unix"] + 100.0
+        )
+        b1 = tmp_path / "BENCH_bcp.json"
         b1.write_text(json.dumps(baseline))
-        b2 = tmp_path / "b.json"
-        b2.write_text(json.dumps(degraded))
-        with RunStore(tmp_path / "s.sqlite") as store:
-            store.ingest_many([b1, b2])
-            assert check_regression(store).ok
-            widened = check_regression(store, per_workload=True)
-            assert not widened.ok
-            assert any("3sat" in failure for failure in widened.failures)
+        b2 = tmp_path / "BENCH_bcp_smoke.json"
+        b2.write_text(json.dumps(newer))
+        assert main([
+            "trend", str(b1), str(b2), "--store",
+            str(tmp_path / "s.sqlite"), "--check-regression",
+        ]) == code
+        assert ("REGRESSION" in capsys.readouterr().err) == (code == 1)
 
     def test_smoke_results_flagged_and_reingest_replaces(self, tmp_path):
         payload = self._baseline_payload()
         payload["smoke"] = True
-        payload["created_unix"] = 1700000000.0
         path = tmp_path / "BENCH_bcp_smoke.json"
         path.write_text(json.dumps(payload))
         with RunStore(tmp_path / "s.sqlite") as store:
             count = store.ingest_bench(path)
             assert count == store.ingest_bench(path)  # idempotent
-            rows = store.bench_rows(workload="aggregate")
-            assert {row["engine"] for row in rows} >= {
-                "legacy", "new", "arena"
-            }
+            rows = [
+                row for row in store.bench_rows()
+                if row["workload"] == "aggregate"
+            ]
+            assert {row["engine"] for row in rows} == {"legacy", "arena"}
             assert all(row["smoke"] == 1 for row in rows)
-            assert len(rows) == 3  # replaced, not appended
+            assert len(rows) == 2  # replaced, not appended
 
 
 # ---------------------------------------------------------------------------
