@@ -61,6 +61,7 @@ from repro.cnf import (
     write_dimacs_file,
 )
 from repro.cnf.dimacs import DimacsError
+from repro.cnf.formula import MAX_VAR
 from repro.policies import get_policy, policy_names
 from repro.solver import (
     ProofLog,
@@ -153,11 +154,17 @@ def _parse_icnf(text: str):
             fields = line.split()
             if len(fields) >= 3 and fields[1] == "cnf":
                 try:
-                    num_vars = max(num_vars, int(fields[2]))
+                    declared = int(fields[2])
                 except ValueError as exc:
                     raise DimacsError(
                         f"line {line_no}: non-integer header field"
                     ) from exc
+                if declared > MAX_VAR:
+                    raise DimacsError(
+                        f"line {line_no}: variable count {declared} "
+                        f"out of range (max {MAX_VAR})"
+                    )
+                num_vars = max(num_vars, declared)
             continue  # "p inccnf" carries no counts
         tokens = line.split()
         if tokens[0] == "a":
@@ -175,6 +182,11 @@ def _parse_icnf(text: str):
                 raise DimacsError(
                     f"line {line_no}: bad token {token!r}"
                 ) from exc
+            if abs(lit) > MAX_VAR:
+                raise DimacsError(
+                    f"line {line_no}: variable {abs(lit)} "
+                    f"out of range (max {MAX_VAR})"
+                )
             if lit == 0:
                 if assuming:
                     steps.append(("solve", group))

@@ -12,8 +12,6 @@ passing stays ``O(|E|)`` as in the paper's complexity analysis.
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
 from repro.cnf.formula import CNF
@@ -38,18 +36,12 @@ class BipartiteGraph:
         self.num_vars = cnf.num_vars
         self.num_clauses = cnf.num_clauses
 
-        edge_var: List[int] = []
-        edge_clause: List[int] = []
-        edge_weight: List[float] = []
-        for j, clause in enumerate(cnf.clauses):
-            for lit in clause.literals:
-                edge_var.append(abs(lit) - 1)
-                edge_clause.append(j)
-                edge_weight.append(1.0 if lit > 0 else -1.0)
-
-        self.edge_var = np.asarray(edge_var, dtype=np.int64)
-        self.edge_clause = np.asarray(edge_clause, dtype=np.int64)
-        self.edge_weight = np.asarray(edge_weight, dtype=np.float64)
+        lits = cnf.lits
+        self.edge_var = np.abs(lits).astype(np.int64) - 1
+        self.edge_clause = np.repeat(
+            np.arange(self.num_clauses, dtype=np.int64), np.diff(cnf.offsets)
+        )
+        self.edge_weight = np.where(lits > 0, 1.0, -1.0)
 
         self.var_degree = np.maximum(
             np.bincount(self.edge_var, minlength=self.num_vars), 1

@@ -8,8 +8,6 @@ exchanges state between complementary literals each round ("flip").
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
 from repro.cnf.formula import CNF
@@ -23,16 +21,11 @@ class LiteralClauseGraph:
         self.num_literals = 2 * cnf.num_vars
         self.num_clauses = cnf.num_clauses
 
-        edge_lit: List[int] = []
-        edge_clause: List[int] = []
-        for j, clause in enumerate(cnf.clauses):
-            for lit in clause.literals:
-                index = 2 * (abs(lit) - 1) + (0 if lit > 0 else 1)
-                edge_lit.append(index)
-                edge_clause.append(j)
-
-        self.edge_lit = np.asarray(edge_lit, dtype=np.int64)
-        self.edge_clause = np.asarray(edge_clause, dtype=np.int64)
+        lits = cnf.lits
+        self.edge_lit = 2 * (np.abs(lits).astype(np.int64) - 1) + (lits < 0)
+        self.edge_clause = np.repeat(
+            np.arange(self.num_clauses, dtype=np.int64), np.diff(cnf.offsets)
+        )
 
         self.lit_degree = np.maximum(
             np.bincount(self.edge_lit, minlength=self.num_literals), 1

@@ -66,6 +66,7 @@ import json
 from typing import Any, Dict, Optional, Tuple
 
 from repro.cnf.dimacs import parse_dimacs
+from repro.cnf.formula import CNF
 from repro.obs.metrics import render_prometheus
 from repro.serve.protocol import AdmissionError, ServeRequest
 from repro.serve.service import SolveService
@@ -360,15 +361,17 @@ class HttpFrontDoor:
             if "dimacs" in payload:
                 cnf = parse_dimacs(payload["dimacs"])
             num_vars = int(payload.get("num_vars", 0))
-            if cnf is None and num_vars <= 0:
-                raise ValueError("provide 'dimacs' or a positive 'num_vars'")
+            if cnf is None:
+                if num_vars <= 0:
+                    raise ValueError("provide 'dimacs' or a positive 'num_vars'")
+                cnf = CNF(num_vars=num_vars)
         except Exception as exc:  # malformed JSON, DIMACS, or fields
             await _send_json(
                 writer, 400, {"error": f"{type(exc).__name__}: {exc}"}
             )
             return
         try:
-            session = self.service.sessions.create(cnf=cnf, num_vars=num_vars)
+            session = self.service.sessions.create(cnf=cnf)
         except AdmissionError as exc:
             await _send_json(
                 writer,

@@ -150,6 +150,33 @@ static inline void iv_push3(kstate *k, ivec *v, int x, int y, int z)
     v->a[v->n++] = z;
 }
 
+/* Room for ``ndata`` arena words, ``nclauses`` clause ids and ``nheap``
+ * heap entries (a bulk load from Python, or growth mid-search). */
+int k_reserve(kstate *k, int ndata, int nclauses, int nheap)
+{
+    if (grow((void **)&k->data, &k->data_cap, ndata, sizeof(int)))
+        return -1;
+    if (nclauses > k->clause_cap) {
+        int cap = grown(k->clause_cap, nclauses);
+        if (resize((void **)&k->offset, cap, sizeof(int))
+            || resize((void **)&k->glue, cap, sizeof(int))
+            || resize((void **)&k->used, cap, sizeof(int))
+            || resize((void **)&k->garbage, cap, sizeof(int))
+            || resize((void **)&k->learned, cap, sizeof(int))
+            || resize((void **)&k->cact, cap, sizeof(double)))
+            return -1;
+        k->clause_cap = cap;
+    }
+    if (nheap > k->heap_cap) {
+        int cap = grown(k->heap_cap, nheap);
+        if (resize((void **)&k->hkey, cap, sizeof(double))
+            || resize((void **)&k->hvar, cap, sizeof(int)))
+            return -1;
+        k->heap_cap = cap;
+    }
+    return 0;
+}
+
 void k_free(kstate *k)
 {
     if (k == NULL)
@@ -189,6 +216,9 @@ void k_free(kstate *k)
 
 kstate *k_new(int num_vars)
 {
+    /* 2 * (num_vars + 1) literal slots must fit an int. */
+    if (num_vars < 0 || num_vars > INT_MAX / 2 - 1)
+        return NULL;
     kstate *k = calloc(1, sizeof(kstate));
     if (k == NULL)
         return NULL;
@@ -220,34 +250,17 @@ kstate *k_new(int num_vars)
     for (int v = 0; v < n; v++)
         k->reasons[v] = NO_REASON;
     memset(k->phase, 1, (size_t)n);
+    /* Decider's initial heap: every variable at activity 0, in order. */
+    if (k_reserve(k, 0, 0, num_vars)) {
+        k_free(k);
+        return NULL;
+    }
+    for (int v = 1; v <= num_vars; v++) {
+        k->hkey[v - 1] = 0.0;
+        k->hvar[v - 1] = v;
+    }
+    k->heap_len = num_vars;
     return k;
-}
-
-/* Room for ``ndata`` arena words, ``nclauses`` clause ids and ``nheap``
- * heap entries (a bulk load from Python, or growth mid-search). */
-int k_reserve(kstate *k, int ndata, int nclauses, int nheap)
-{
-    if (grow((void **)&k->data, &k->data_cap, ndata, sizeof(int)))
-        return -1;
-    if (nclauses > k->clause_cap) {
-        int cap = grown(k->clause_cap, nclauses);
-        if (resize((void **)&k->offset, cap, sizeof(int))
-            || resize((void **)&k->glue, cap, sizeof(int))
-            || resize((void **)&k->used, cap, sizeof(int))
-            || resize((void **)&k->garbage, cap, sizeof(int))
-            || resize((void **)&k->learned, cap, sizeof(int))
-            || resize((void **)&k->cact, cap, sizeof(double)))
-            return -1;
-        k->clause_cap = cap;
-    }
-    if (nheap > k->heap_cap) {
-        int cap = grown(k->heap_cap, nheap);
-        if (resize((void **)&k->hkey, cap, sizeof(double))
-            || resize((void **)&k->hvar, cap, sizeof(int)))
-            return -1;
-        k->heap_cap = cap;
-    }
-    return 0;
 }
 
 /* ------------------------------------------------------------------ */
@@ -511,6 +524,53 @@ static inline void assign(kstate *k, int lit, int reason)
 void k_assign(kstate *k, int lit)
 {
     assign(k, lit, NO_REASON);
+}
+
+/* Solver._ingest_clauses over a formula's flat form: DIMACS ``lits``,
+ * clause j at [offsets[j], offsets[j + 1]), its literals already
+ * deduplicated.  Tautologies are skipped; units are assigned at level 0
+ * in order; longer clauses are added and watched in order.  Returns 1
+ * at an empty clause or a unit falsified by an earlier one (the clauses
+ * after it are not loaded), 0 once all are loaded, -1 when out of
+ * memory, -2 on a literal outside 1..num_vars or an oversized clause. */
+int k_ingest(kstate *k, const int *lits, const int64_t *offsets, int n_clauses,
+             const uint8_t *tautology)
+{
+    int64_t words = offsets[n_clauses] - offsets[0] + 2 * (int64_t)n_clauses;
+    if (words > INT_MAX - k->data_len || n_clauses > INT_MAX - k->n_clauses)
+        return -1;
+    if (k_reserve(k, k->data_len + (int)words, k->n_clauses + n_clauses, 0))
+        return -1;
+    int num_vars = k->num_vars;
+    int *encoded = k->learnt; /* num_vars + 1 slots of scratch */
+    for (int j = 0; j < n_clauses; j++) {
+        if (tautology[j])
+            continue;
+        int64_t start = offsets[j];
+        int64_t size = offsets[j + 1] - start;
+        if (size == 0)
+            return 1;
+        if (size > num_vars)
+            return -2; /* a non-tautology repeats no variable */
+        for (int i = 0; i < size; i++) {
+            int lit = lits[start + i];
+            if (lit == 0 || lit < -num_vars || lit > num_vars)
+                return -2;
+            encoded[i] = lit > 0 ? 2 * lit : 2 * -lit + 1;
+        }
+        if (size == 1) {
+            int value = k->vals[encoded[0]];
+            if (value == 0)
+                return 1;
+            if (value < 0)
+                assign(k, encoded[0], NO_REASON);
+            continue;
+        }
+        push_clause(k, encoded, (int)size, 0, 0);
+        if (k->oom)
+            return -1;
+    }
+    return 0;
 }
 
 /* Backtrack with phase saving and requeue (Solver._backtrack). */

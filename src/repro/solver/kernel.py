@@ -22,13 +22,17 @@ solver silently keeps its pure-Python loop; :func:`engine_info` says
 which engine runs and why.
 
 A :class:`KernelEngine` owns one solver's C-side state for the solver's
-lifetime.  Ownership flips lazily: the engine pushes the Python objects
-into C (:meth:`~KernelEngine.acquire`) before the first C operation
-after Python last held the state, and pulls C back into the *same*
-Python objects (:meth:`~KernelEngine.expose`) only when Python code
-reads them -- a reduce, the solver's public ``trail`` / ``watches`` /
-``clause_db`` / ``decider`` / ``propagator`` / ``restarts``
-attributes.  Between those points only deltas cross the boundary:
+lifetime.  C owns it from construction: :meth:`~KernelEngine.ingest`
+loads the formula's clauses with ``k_ingest`` straight from the
+:class:`~repro.cnf.formula.CNF`'s int32 literal and int64 offset
+arrays, so the Python arena, trail and watch tables stay empty until
+something reads them.  From then on ownership flips lazily: the engine
+pulls C back into the *same* Python objects
+(:meth:`~KernelEngine.expose`) only when Python code reads them -- a
+reduce, the solver's public ``trail`` / ``watches`` / ``clause_db`` /
+``decider`` / ``propagator`` / ``restarts`` attributes -- and pushes
+them into C again (:meth:`~KernelEngine.acquire`) before the next C
+operation.  Between those points only deltas cross the boundary:
 clauses added through ``add_clause`` go in; statistics, learned
 clauses (for the proof and the glue histogram), BCP batch sizes and
 the model come out, and a failed assumption copies the arena and trail
@@ -93,6 +97,8 @@ int k_load_watches(kstate *k, int table, const int *starts, const int *flat);
 int k_watch_total(kstate *k, int table);
 void k_dump_watches(kstate *k, int table, int *starts, int *flat);
 int k_add_clause(kstate *k, const int *lits, int size);
+int k_ingest(kstate *k, const int *lits, const int64_t *offsets, int n_clauses,
+             const uint8_t *tautology);
 void k_assign(kstate *k, int lit);
 int k_backtrack(kstate *k, int level);
 int k_propagate(kstate *k);
@@ -335,8 +341,6 @@ class KernelEngine:
         k.learned[0:n_clauses] = arena.learned
         k.cact[0:n_clauses] = arena.activity
         k.n_clauses = n_clauses
-        k.clause_inc = arena.clause_inc
-        k.clause_decay = arena.clause_decay
         k.num_learned_live = arena._num_learned_live
         k.num_original = arena._num_original
 
@@ -372,17 +376,45 @@ class KernelEngine:
         k.frequency[0:n] = self._propagator.frequency
         k.activity[0:n] = decider.activity
         k.phase[0:n] = decider.saved_phase
-        k.var_inc = decider.var_inc
-        k.var_decay = decider.decay
         k.hkey[0 : len(heap)] = [key for key, _ in heap]
         k.hvar[0 : len(heap)] = [var for _, var in heap]
         k.heap_len = len(heap)
+        self._push_scalars()
+        self.c_owns = True
+
+    def ingest(self, cnf) -> bool:
+        """Load ``cnf``'s clauses into the fresh C state straight from its
+        flat arrays (``k_ingest``, the solver's ``_ingest_clauses`` in C);
+        C owns the state from here on.  True when the formula is
+        inconsistent: an empty clause or clashing units."""
+        ffi = self._ffi
+        self._push_scalars()
+        code = self._lib.k_ingest(
+            self._k,
+            ffi.from_buffer("int[]", cnf.lits),
+            ffi.from_buffer("int64_t[]", cnf.offsets),
+            cnf.num_clauses,
+            ffi.from_buffer("uint8_t[]", cnf.tautology),
+        )
+        if code == -1:
+            raise MemoryError("kernel arena allocation failed")
+        if code < 0:
+            raise ValueError("clause literal outside the formula's variables")
+        self.c_owns = True
+        return code == 1
+
+    def _push_scalars(self) -> None:
+        """The activity increments and decays and the Luby state."""
+        k, arena, decider = self._k, self._arena, self._decider
+        k.clause_inc = arena.clause_inc
+        k.clause_decay = arena.clause_decay
+        k.var_inc = decider.var_inc
+        k.var_decay = decider.decay
         restarts = self._restarts
         k.luby_base = restarts.base
         k.luby_index = restarts._index
         k.luby_limit = restarts._limit
         k.luby_conflicts = restarts._conflicts
-        self.c_owns = True
 
     def expose(self) -> None:
         """Make the Python objects current (a no-op unless C owns);

@@ -26,12 +26,19 @@ def brute_force_status(cnf: CNF, max_vars: int = 22) -> Status:
         raise ValueError(f"too many variables for brute force: {len(variables)}")
     if cnf.has_empty_clause():
         return Status.UNSATISFIABLE
+    clauses = [clause.literals for clause in cnf.clauses]
     n = len(variables)
     for mask in range(1 << n):
         assignment: List[Optional[bool]] = [None] * (cnf.num_vars + 1)
         for i, var in enumerate(variables):
             assignment[var] = bool(mask >> i & 1)
-        if cnf.evaluate(assignment) is True:
+        for clause in clauses:
+            for lit in clause:
+                if assignment[abs(lit)] == (lit > 0):
+                    break  # clause satisfied
+            else:
+                break  # clause falsified: next assignment
+        else:
             return Status.SATISFIABLE
     return Status.UNSATISFIABLE
 

@@ -28,6 +28,8 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
+import numpy as np
+
 from repro.cnf.formula import CNF
 from repro.obs.metrics import SMALL_COUNT_BUCKETS
 from repro.obs.observer import NULL_OBSERVER, Observer
@@ -172,9 +174,12 @@ class Solver:
         # Copy-on-write flag: the caller's CNF is never mutated by
         # incremental add_clause.
         self._owns_cnf = False
-        self._ingest_clauses()
         # The compiled conflict loop, or None for the pure-Python loop.
         self._engine = kernel.new_engine(self)
+        if self._engine is None:
+            self._ingest_clauses()
+        elif self._engine.ingest(cnf):
+            self._mark_inconsistent()
 
     # With the compiled loop the search state lives in C; reading any of
     # these first copies it back into the same Python objects.
@@ -188,24 +193,30 @@ class Solver:
     # -- setup -------------------------------------------------------------
 
     def _ingest_clauses(self) -> None:
-        """Load original clauses: dedupe literals, drop tautologies,
-        enqueue units at level 0, and detect the empty clause."""
-        for clause in self.cnf.clauses:
-            if clause.is_tautology():
+        """Load the original clauses from the formula's flat arrays, as
+        the kernel's ``k_ingest`` does: skip tautologies, assign units at
+        level 0, attach the rest, and stop at the empty clause or a unit
+        falsified by an earlier one."""
+        cnf = self.cnf
+        lits = cnf.lits
+        encoded = (2 * np.abs(lits) + (lits < 0)).tolist()
+        bounds = cnf.offsets.tolist()
+        for j, tautology in enumerate(cnf.tautology.tolist()):
+            if tautology:
                 continue
-            lits = [encode(lit) for lit in clause.literals]
-            if not lits:
+            start, end = bounds[j], bounds[j + 1]
+            if start == end:
                 self._mark_inconsistent()
                 return
-            if len(lits) == 1:
-                value = self._trail.value_lit(lits[0])
+            if end - start == 1:
+                value = self._trail.value_lit(encoded[start])
                 if value == FALSE:
                     self._mark_inconsistent()
                     return
                 if value == UNASSIGNED:
-                    self._trail.assign(lits[0], None)
+                    self._trail.assign(encoded[start], None)
                 continue
-            solver_clause = self._clause_db.add_original(lits)
+            solver_clause = self._clause_db.add_original(encoded[start:end])
             self._watches.attach(solver_clause)
 
     def _mark_inconsistent(self) -> None:
@@ -342,7 +353,7 @@ class Solver:
             "solve-start",
             policy=self.policy.name,
             num_vars=self.cnf.num_vars,
-            num_clauses=len(self.cnf.clauses),
+            num_clauses=self.cnf.num_clauses,
             assumptions=len(assumptions),
         )
         start = time.perf_counter()

@@ -440,9 +440,10 @@ class RunStore:
         The synthetic run row is keyed by the file's content hash, so
         re-ingesting the identical file replaces (never duplicates) its
         series rows.  Ordering for trend queries comes from the
-        payload's ``created_unix`` stamp when present, else the file
-        mtime — so a freshly measured file always sorts after the
-        committed baseline it is compared against.
+        payload's ``created_unix`` stamp.  A payload without one (the
+        committed ``BENCH_bcp.json``) sorts before every stamped one, in
+        ingest order among themselves: a file's mtime moves on checkout
+        or ``touch``, and must not make a baseline the newest point.
         """
         path = Path(path)
         try:
@@ -466,9 +467,7 @@ class RunStore:
         sha, size = file_sha256(path)
         run_id = f"b-{sha[:12]}"
         commit_ref = str(commit or payload.get("git", "") or "")
-        created = float(
-            payload.get("created_unix") or path.stat().st_mtime
-        )
+        created = float(payload.get("created_unix") or 0.0)
         smoke = 1 if payload.get("smoke") else 0
 
         rows: List[Tuple[str, str, int, float, float]] = []

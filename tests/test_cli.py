@@ -153,6 +153,32 @@ def test_malformed_icnf_is_one_line_error(tmp_path, text, message):
     assert exc.value.code == message
 
 
+@pytest.mark.parametrize("text,incremental,message", [
+    ("p cnf 2 1\n1 -1073741824 0\n", False,
+     "error: line 2: variable 1073741824 out of range (max 1073741823)"),
+    ("p cnf 1073741824 1\n1 0\n", False,
+     "error: line 1: variable count 1073741824 out of range (max 1073741823)"),
+    ("c big\n1 0\n99999999999999999999999 0\n", False,
+     "error: line 3: variable 99999999999999999999999 out of range "
+     "(max 1073741823)"),
+    ("p inccnf\n1 2 0\na 1073741824 0\n", True,
+     "error: line 3: variable 1073741824 out of range (max 1073741823)"),
+    ("p cnf 4294967296 1\n1 0\n", True,
+     "error: line 1: variable count 4294967296 out of range (max 1073741823)"),
+], ids=["literal", "header", "huge-literal", "icnf-literal", "icnf-header"])
+def test_variable_out_of_range_is_one_line_error(tmp_path, text, incremental,
+                                                 message):
+    """Variables must fit the solver's int32 literal encoding; the check
+    fires while parsing, before anything is sized by the variable count."""
+    path = tmp_path / "big.cnf"
+    path.write_text(text)
+    argv = ["solve", "--incremental", str(path)] if incremental else [
+        "solve", str(path)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == message
+
+
 def test_docstring_lists_exactly_the_registered_subcommands():
     (subparsers,) = [
         action for action in repro.cli.build_parser()._actions

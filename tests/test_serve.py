@@ -598,6 +598,32 @@ def test_http_error_paths():
     assert health.json["rejected"] == 1
 
 
+def test_http_rejects_out_of_range_variables():
+    """A literal or variable count past the solver's int32 encoding is a
+    400 on both front doors, answered before any solver state is sized."""
+    big = "p cnf 2 1\n1 1073741824 0\n"
+
+    async def scenario():
+        service, server, client = await _http_service()
+        try:
+            solve = await client.solve(big)
+            header = await client.solve("p cnf 1073741824 1\n1 0\n")
+            session = await client.session_create(dimacs=big)
+            empty = await client.session_create(num_vars=2**30)
+            health = await client.health()
+        finally:
+            await _http_teardown(service, server)
+        return solve, header, session, empty, health
+
+    solve, header, session, empty, health = asyncio.run(scenario())
+    for reply in (solve, header, session, empty):
+        assert reply.code == 400
+        assert "out of range (max 1073741823)" in reply.json["error"]
+    assert "line 2: variable 1073741824" in solve.json["error"]
+    assert "line 1: variable count 1073741824" in header.json["error"]
+    assert health.json["sessions"]["created"] == 0
+
+
 def test_http_timeout_maps_to_504():
     # A hard formula under a microscopic wall budget: the supervisor
     # kills the attempt and the taxonomy surfaces as a 504 response.

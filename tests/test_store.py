@@ -454,6 +454,29 @@ class TestBenchTrend:
         ]) == code
         assert ("REGRESSION" in capsys.readouterr().err) == (code == 1)
 
+    def test_touched_committed_baseline_stays_the_baseline(
+        self, tmp_path, capsys
+    ):
+        # The committed file carries no created_unix; a checkout or touch
+        # makes it the newest file on disk, but it must still sort before
+        # a stamped smoke result, so the gate checks the smoke result.
+        committed = json.loads(BENCH_BASELINE.read_text())
+        assert "created_unix" not in committed
+        b1 = tmp_path / "BENCH_bcp.json"
+        b1.write_text(json.dumps(committed))
+        smoke = _scaled_aggregate(committed, 0.5, time.time() - 3600.0)
+        b2 = tmp_path / "BENCH_bcp_smoke.json"
+        b2.write_text(json.dumps(smoke))
+        os.utime(b1)
+        assert b1.stat().st_mtime > smoke["created_unix"]
+        assert main([
+            "trend", str(b2), str(b1), "--store",
+            str(tmp_path / "s.sqlite"), "--check-regression",
+        ]) == 1
+        err = capsys.readouterr().err
+        assert "REGRESSION" in err
+        assert "BENCH_bcp_smoke.json" in err
+
     def test_smoke_results_flagged_and_reingest_replaces(self, tmp_path):
         payload = self._baseline_payload()
         payload["smoke"] = True
