@@ -35,8 +35,8 @@ class GINHalfLayer(Module):
         edge_source: np.ndarray,
         edge_target: np.ndarray,
     ) -> Tensor:
-        neighbor_sum = source.gather_rows(edge_source).scatter_sum(
-            edge_target, target.shape[0]
+        neighbor_sum = source.message_sum(
+            edge_source, edge_target, None, target.shape[0]
         )
         return self.mlp(target * (self.eps + 1.0) + neighbor_sum)
 

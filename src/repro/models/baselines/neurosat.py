@@ -50,15 +50,15 @@ class NeuroSATClassifier(Module):
         for _ in range(self.num_rounds):
             # Clauses <- literals.
             lit_messages = self.lit_msg(lit_state)
-            incoming_c = lit_messages.gather_rows(graph.edge_lit).scatter_sum(
-                graph.edge_clause, graph.num_clauses
+            incoming_c = lit_messages.message_sum(
+                graph.edge_lit, graph.edge_clause, None, graph.num_clauses
             ) / Tensor(graph.clause_degree[:, None])
             clause_state = _concat(clause_state, incoming_c)
             clause_state = self.clause_update(clause_state).tanh()
             # Literals <- clauses (+ complement state).
             clause_messages = self.clause_msg(clause_state)
-            incoming_l = clause_messages.gather_rows(graph.edge_clause).scatter_sum(
-                graph.edge_lit, graph.num_literals
+            incoming_l = clause_messages.message_sum(
+                graph.edge_clause, graph.edge_lit, None, graph.num_literals
             ) / Tensor(graph.lit_degree[:, None])
             flipped = lit_state.gather_rows(flip)
             lit_state = self.lit_update(

@@ -44,10 +44,9 @@ class DirectedMessagePass(Module):
         edge_weight: np.ndarray,
         target_degree: np.ndarray,
     ) -> Tensor:
-        transformed = self.message_mlp(source)
-        per_edge = transformed.gather_rows(edge_source)
-        weighted = per_edge * Tensor(edge_weight[:, None])
-        summed = weighted.scatter_sum(edge_target, target.shape[0])
+        summed = self.message_mlp(source).message_sum(
+            edge_source, edge_target, edge_weight, target.shape[0]
+        )
         mean = summed / Tensor(target_degree[:, None])  # Eq. (6)
         return self.update_mlp(mean + self.self_mlp(target)).relu()  # Eq. (7)
 

@@ -28,8 +28,9 @@ class DecisionRule:
     The one-shot :class:`NeuroSelectSolver`, the drift-gated
     :class:`~repro.selection.session.SelectorSession` and the served
     :class:`~repro.serve.batcher.InferenceBatcher` all decide through
-    this rule: a graph above ``max_nodes`` skips inference, no forward
-    pass means label 0 (the default policy), and otherwise the label is
+    this rule: a formula whose graph would exceed ``max_nodes`` skips
+    inference (before any graph is built), no forward pass means label 0
+    (the default policy), and otherwise the label is
     ``probability >= threshold``.
     """
 
@@ -48,9 +49,11 @@ class DecisionRule:
             threshold = getattr(model, "decision_threshold", 0.5)
         return cls(threshold, max_nodes)
 
-    def admits(self, graph: BipartiteGraph) -> bool:
-        """Whether ``graph`` is within the node cap (worth a forward pass)."""
-        return graph.num_nodes <= self.max_nodes
+    def admits(self, cnf: CNF) -> bool:
+        """Whether ``cnf``'s graph is within the node cap (worth a forward
+        pass).  Its node count, variables plus clauses, is known from the
+        formula, so an oversized graph is never built."""
+        return cnf.num_vars + cnf.num_clauses <= self.max_nodes
 
     def decide(self, probability: Optional[float]) -> Tuple[int, str]:
         """``(label, policy name)``; ``None`` (no forward pass) is label 0."""
@@ -89,10 +92,10 @@ class NeuroSelectSolver:
 
     def select_policy(self, cnf: CNF):
         """Model inference only; returns (label, policy, seconds, used_model)."""
-        graph = BipartiteGraph(cnf)
-        if not self.rule.admits(graph):
+        if not self.rule.admits(cnf):
             label, name = self.rule.decide(None)
             return label, get_policy(name), 0.0, False
+        graph = BipartiteGraph(cnf)
         start = time.perf_counter()
         probability = self.model.predict_proba(graph)
         elapsed = time.perf_counter() - start

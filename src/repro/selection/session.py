@@ -151,8 +151,7 @@ class SelectorSession:
 
     def _classify(self, cnf: CNF, distance: float) -> SessionSelection:
         """Run (or skip, per the node cap) one real forward pass."""
-        graph = BipartiteGraph(cnf) if self.model is not None else None
-        if graph is None or not self.rule.admits(graph):
+        if self.model is None or not self.rule.admits(cnf):
             label, policy = self.rule.decide(None)
             return SessionSelection(
                 label=label,
@@ -162,6 +161,7 @@ class SelectorSession:
                 distance=distance,
                 used_model=False,
             )
+        graph = BipartiteGraph(cnf)
         start = time.perf_counter()
         probability = float(self.model.predict_proba(graph))
         elapsed = time.perf_counter() - start

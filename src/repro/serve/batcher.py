@@ -27,9 +27,10 @@ Flush triggers:
 
 Requests whose future was cancelled (client disconnect) are dropped at
 flush time, before any graph construction or inference is spent on
-them.  Instances whose graph exceeds the node cap of the
-:class:`~repro.selection.selector.DecisionRule` skip inference and fall
-back to the default policy, exactly like
+them.  Instances whose graph would exceed the node cap of the
+:class:`~repro.selection.selector.DecisionRule` (checked on the formula,
+so their graph is never built) skip inference and fall back to the
+default policy, exactly like
 :class:`~repro.selection.selector.NeuroSelectSolver` (the paper's
 >400k-node handling).
 
@@ -279,33 +280,34 @@ class InferenceBatcher:
         loop = asyncio.get_running_loop()
         flushed_at = time.perf_counter()
         degraded_reason = ""
-        graphs: Optional[List[BipartiteGraph]] = None
-        if self.model is not None:
+        # The node cap applies to the formula, before any graph (sized
+        # by the declared variable count) is built.
+        eligible = (
+            [i for i, p in enumerate(live) if self.rule.admits(p.cnf)]
+            if self.model is not None
+            else []
+        )
+        member_graphs: Optional[List[BipartiteGraph]] = None
+        if eligible:
             try:
                 # Graph construction is numpy-heavy; keep it off the
                 # event loop.
-                graphs = await loop.run_in_executor(
-                    None, lambda: [BipartiteGraph(p.cnf) for p in live]
+                member_graphs = await loop.run_in_executor(
+                    None, lambda: [BipartiteGraph(live[i].cnf) for i in eligible]
                 )
             except Exception as exc:
                 degraded_reason = (
                     f"graph-construction: {type(exc).__name__}: {exc}"
                 )
-        eligible = (
-            [
-                i
-                for i, g in enumerate(graphs)
-                if self.rule.admits(g)
-            ]
-            if graphs is not None
-            else []
-        )
-        if eligible and self.breaker is not None and not self.breaker.allow():
+        if (
+            member_graphs is not None
+            and self.breaker is not None
+            and not self.breaker.allow()
+        ):
             degraded_reason = "breaker-open"
         inference_seconds = 0.0
         probabilities: dict = {}
-        if eligible and not degraded_reason:
-            member_graphs = [graphs[i] for i in eligible]
+        if member_graphs is not None and not degraded_reason:
 
             def _forward() -> List[float]:
                 return self.model.predict_proba_batch(
@@ -346,16 +348,14 @@ class InferenceBatcher:
                     self.breaker.record_success(inference_seconds)
         # Members that would have gone through the model but could not
         # (failed pass, open breaker, failed graph build) are *degraded*;
-        # node-cap fallbacks with a healthy pipeline are not — skipping
-        # oversized graphs is the paper's intended behaviour.
+        # node-cap fallbacks are not — skipping oversized graphs is the
+        # paper's intended behaviour.
         eligible_set = set(eligible)
         degraded_members = 0
         for index, pending in enumerate(live):
             probability = probabilities.get(index)
             if probability is None:
-                degraded = bool(degraded_reason) and (
-                    index in eligible_set or graphs is None
-                ) and self.model is not None
+                degraded = bool(degraded_reason) and index in eligible_set
                 if degraded:
                     degraded_members += 1
                 choice = self._fallback_choice(

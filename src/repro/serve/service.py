@@ -264,10 +264,13 @@ class SolveService:
 
     @property
     def active(self) -> int:
-        """Requests admitted but not yet terminal (the queue depth)."""
-        return sum(
-            1 for r in self.requests.values() if not r.state.terminal
-        )
+        """Requests admitted but not yet terminal (the queue depth).
+
+        A request turns terminal and joins the history (:meth:`_retire`)
+        with no await in between, so the requests held beyond the
+        history are exactly the live ones: O(1) on every ``submit``.
+        """
+        return len(self.requests) - len(self._terminal_order)
 
     # -- front door --------------------------------------------------------
 

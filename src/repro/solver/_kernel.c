@@ -19,6 +19,10 @@
  *
  * The state never calls back into Python and holds no Python object,
  * so cffi runs every entry point with the interpreter lock released.
+ *
+ * The same extension carries the one loop the neural models need in C,
+ * the message-passing sum k_message_sum (at the end), so the package
+ * keeps a single compiled module, build and hash.
  */
 
 #include <limits.h>
@@ -1043,4 +1047,39 @@ int k_run(kstate *k, int phase, const int *assumed, int nassumed,
         if (k->trail_len > k->max_trail)
             k->max_trail = k->trail_len;
     }
+}
+
+/* ------------------------------------------------------------------ */
+/* message passing                                                      */
+/* ------------------------------------------------------------------ */
+
+/* One message-passing sum (repro.nn.tensor.message_sum): for every edge
+ * e in order, out[target[e]] += weight[e] * x[source[e]], a row of
+ * ``width`` doubles per node; a NULL ``weight`` means unit weights.
+ * One rounded multiply, then one rounded add per cell in edge order --
+ * the order np.bincount accumulates the unfused path's products in --
+ * so the sums are bit-identical to it.  Returns -1, writing nothing,
+ * when an index is outside [0, num_sources) or [0, num_targets). */
+int k_message_sum(const double *x, int64_t num_sources, int64_t width,
+                  const int64_t *source, const int64_t *target,
+                  const double *weight, int64_t num_edges,
+                  double *out, int64_t num_targets)
+{
+    for (int64_t e = 0; e < num_edges; e++)
+        if ((uint64_t)source[e] >= (uint64_t)num_sources
+            || (uint64_t)target[e] >= (uint64_t)num_targets)
+            return -1;
+    for (int64_t e = 0; e < num_edges; e++) {
+        const double *row = x + source[e] * width;
+        double *acc = out + target[e] * width;
+        if (weight) {
+            double w = weight[e];
+            for (int64_t j = 0; j < width; j++)
+                acc[j] += w * row[j];
+        } else {
+            for (int64_t j = 0; j < width; j++)
+                acc[j] += row[j];
+        }
+    }
+    return 0;
 }

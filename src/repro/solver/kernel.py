@@ -21,6 +21,11 @@ a compiler or the Python headers are missing, or the build fails, the
 solver silently keeps its pure-Python loop; :func:`engine_info` says
 which engine runs and why.
 
+The same extension carries ``k_message_sum``, the gather-weight-scatter
+loop of one message-passing round, which
+:meth:`repro.nn.tensor.Tensor.message_sum` reaches through :func:`load`
+(numpy computes the same bits when it returns None).
+
 A :class:`KernelEngine` owns one solver's C-side state for the solver's
 lifetime.  C owns it from construction: :meth:`~KernelEngine.ingest`
 loads the formula's clauses with ``k_ingest`` straight from the
@@ -105,6 +110,10 @@ int k_propagate(kstate *k);
 int k_run(kstate *k, int phase, const int *assumed, int nassumed,
           int64_t max_conflicts, int64_t max_propagations,
           int64_t max_decisions, int64_t reduce_limit, int stop_on_restart);
+int k_message_sum(const double *x, int64_t num_sources, int64_t width,
+                  const int64_t *source, const int64_t *target,
+                  const double *weight, int64_t num_edges,
+                  double *out, int64_t num_targets);
 """
 
 #: -O2 without -ffast-math, and no FMA contraction: doubles must round

@@ -3,11 +3,13 @@
 import pytest
 
 from repro.cnf import CNF, random_ksat
+from repro.graph import BipartiteGraph
 from repro.models import NeuroSelect
 from repro.selection import (
     ClassificationMetrics,
     NeuroSelectSolver,
     PolicyDataset,
+    SelectorSession,
     Trainer,
     build_dataset,
     classification_metrics,
@@ -15,7 +17,10 @@ from repro.selection import (
     label_instances,
 )
 from repro.selection.dataset import LabeledInstance, _instance_pool
+from repro.selection import selector as selector_module
+from repro.selection import session as session_module
 from repro.selection.labeling import REDUCTION_THRESHOLD, default_labeling_config
+from repro.selection.selector import DecisionRule
 from repro.solver import Status
 
 from tests.conftest import make_labeled
@@ -211,6 +216,30 @@ class TestSelector:
         assert not outcome.used_model
         assert outcome.policy_name == "default"
         assert outcome.inference_seconds == 0.0
+
+    def test_node_cap_applies_before_any_graph_is_built(self, monkeypatch):
+        """Over the cap by its declared variables, a formula gets the
+        default policy without a graph, one-shot and in a session."""
+        built = []
+
+        class CountedGraph(BipartiteGraph):
+            def __init__(self, cnf):
+                built.append(cnf)
+                super().__init__(cnf)
+
+        monkeypatch.setattr(selector_module, "BipartiteGraph", CountedGraph)
+        monkeypatch.setattr(session_module, "BipartiteGraph", CountedGraph)
+        model = NeuroSelect(hidden_dim=8, seed=0)
+        sparse = CNF([[1, -2], [2, 3], [-1, -3]], num_vars=50_000)
+        outcome = NeuroSelectSolver(model, max_nodes=1_000).solve(sparse)
+        assert not outcome.used_model and outcome.policy_name == "default"
+        rule = DecisionRule.for_model(model, max_nodes=1_000)
+        selection = SelectorSession(model, rule=rule).select(sparse)
+        assert not selection.used_model and selection.policy == "default"
+        assert selection.probability is None
+        assert built == []
+        assert SelectorSession(model, rule=rule).select(CNF([[1, 2]])).used_model
+        assert len(built) == 1
 
     def test_threshold_extremes_force_policy(self, medium_sat_cnf):
         model = NeuroSelect(hidden_dim=8, seed=0)

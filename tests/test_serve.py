@@ -11,7 +11,9 @@ The service's correctness claims, each tested here:
 * amortization — a concurrent burst of 8 requests costs strictly fewer
   forward passes than requests, and every response matches a direct
   solve of the same (formula, policy, budget);
-* admission control (queue-depth 429) and budget clamping;
+* the node cap applies to the formula before any graph is built;
+* admission control (queue-depth 429, the O(1) depth equal to a
+  recount of live requests) and budget clamping;
 * graceful shutdown drains the queue; a restart with the same journal
   answers repeated requests from disk;
 * the HTTP protocol: held and fire-and-forget solves, job snapshots,
@@ -32,7 +34,7 @@ import time
 
 import pytest
 
-from repro.cnf import parse_dimacs, random_ksat, to_dimacs
+from repro.cnf import CNF, parse_dimacs, random_ksat, to_dimacs
 from repro.graph import BipartiteGraph
 from repro.models import NeuroSelect
 from repro.obs import start_run, summarize_traces
@@ -48,6 +50,8 @@ from repro.serve import (
     SolveService,
     http_code_for,
 )
+from repro.serve import batcher as batcher_module
+from repro.serve import service as service_module
 from repro.serve.http import bound_address, start_service
 from repro.solver import Solver, Status
 
@@ -219,6 +223,49 @@ def test_oversize_graph_skips_inference():
     assert choice.probability is None
 
 
+class _CountedGraph(BipartiteGraph):
+    """A ``BipartiteGraph`` that counts its constructions."""
+
+    built = 0
+
+    def __init__(self, cnf):
+        type(self).built += 1
+        super().__init__(cnf)
+
+
+def test_node_cap_applies_before_any_graph_is_built(monkeypatch):
+    """A formula declaring far more variables than it uses is over the
+    cap by its declared size: it gets the default policy, undegraded,
+    without a graph (one would be sized by the declared count)."""
+    monkeypatch.setattr(_CountedGraph, "built", 0)
+    monkeypatch.setattr(batcher_module, "BipartiteGraph", _CountedGraph)
+    sparse = CNF([[1, -2], [2, 3], [-1, -3]], num_vars=50_000)
+    small = random_ksat(10, 30, seed=4)
+
+    async def scenario():
+        model = _model()
+        batcher = InferenceBatcher(
+            model,
+            ServeConfig(max_batch=4),
+            DecisionRule.for_model(model, max_nodes=1_000),
+        )
+        await batcher.start()
+        alone = await batcher.submit(sparse)
+        built_alone = _CountedGraph.built
+        mixed = await asyncio.gather(batcher.submit(sparse), batcher.submit(small))
+        await batcher.stop()
+        return alone, built_alone, mixed
+
+    alone, built_alone, (capped, admitted) = asyncio.run(scenario())
+    assert built_alone == 0
+    assert _CountedGraph.built == 1  # only the admitted batch mate's graph
+    for choice in (alone, capped):
+        assert choice.policy == "default" and choice.label == 0
+        assert not choice.used_model and not choice.degraded
+        assert choice.probability is None
+    assert admitted.used_model and admitted.probability is not None
+
+
 def test_stop_drains_queued_submissions():
     model = _GatedModel()
 
@@ -295,6 +342,55 @@ def test_admission_rejects_when_queue_full():
     stats = asyncio.run(scenario())
     assert stats["rejected"] == 1
     assert stats["requests"] == 2
+
+
+def test_active_equals_a_recount_of_live_requests(monkeypatch):
+    """``active`` (the queue depth) is derived in O(1); it must equal a
+    recount of the held requests that are not terminal after every kind
+    of transition: admit, reject (429), cancel, complete, and eviction
+    from the bounded history."""
+    monkeypatch.setattr(service_module, "HISTORY_LIMIT", 3)
+    model = _GatedModel()
+    depths = []
+
+    async def scenario():
+        service = SolveService(model, ServeConfig(max_batch=8, max_queue_depth=4))
+
+        def check():
+            recount = sum(
+                1 for r in service.requests.values() if not r.state.terminal
+            )
+            assert service.active == recount
+            depths.append(recount)
+
+        await service.start()
+        holder = await _hold(service.batcher, model)
+        try:
+            held = [service.submit(cnf) for cnf in _burst(4)]
+            check()
+            with pytest.raises(AdmissionError) as rejected:
+                service.submit(random_ksat(12, 36, seed=9))
+            assert rejected.value.http_code == 429
+            check()
+            await asyncio.sleep(0.02)
+            assert service.cancel(held[0].id)
+            await held[0].done.wait()
+            check()
+        finally:
+            model.gate.set()
+        await holder
+        await asyncio.gather(*[service.wait(r.id) for r in held[1:]])
+        check()
+        assert len(service.requests) == 3  # one terminal request evicted
+        more = [service.submit(cnf) for cnf in _burst(2, offset=20)]
+        check()
+        await asyncio.gather(*[service.wait(r.id) for r in more])
+        check()
+        assert len(service.requests) == 3
+        await service.stop()
+
+    asyncio.run(scenario())
+    assert depths == [4, 4, 3, 0, 2, 0]
 
 
 def test_budgets_are_clamped_to_the_cap():
